@@ -439,20 +439,11 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     per_point: list[dict] = []
     index_to_position = {int(idx): k for k, idx in enumerate(targets.indices)}
     train_iters = {}
-    for idx, _, measured in surrogate.prediction_trace:
-        train_iters[idx] = measured
-    # the first evaluated point is not in the prediction trace
-    first_idx = surrogate.evaluated[0]
-    if first_idx not in train_iters:
-        first_delta = targets.points[index_to_position[first_idx]] - surrogate.ybar
-        alpha = surrogate.gp.alphas[1]  # pin occupies slot 0
-        train_iters[first_idx] = float(
-            np.round(surrogate.iter_map.iters_from_alpha(alpha))
-        )
     degraded = False
     for idx in surrogate.evaluated:
         pos = index_to_position[idx]
-        _, converged = oracle.solve_log.get(pos, (None, True))
+        iterations, converged = oracle.solve_log[pos]
+        train_iters[idx] = float(iterations)
         degraded = degraded or not converged
         per_point.append(
             {
@@ -460,7 +451,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
                 "y": targets.points[pos].tolist(),
                 "phase": "train",
                 "pc": "mean",
-                "iterations": float(train_iters[idx]),
+                "iterations": train_iters[idx],
                 "converged": bool(converged),
             }
         )

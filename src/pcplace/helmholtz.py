@@ -19,6 +19,7 @@ pollution effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ __all__ = [
     "HelmholtzConfig",
     "AnnulusMesh",
     "ProblemFamily",
+    "Assembler",
     "build_annulus_mesh",
     "mollifier",
     "mollifier_radial",
@@ -104,8 +106,9 @@ class AnnulusMesh:
     """Structured polar triangulation of the reference annulus.
 
     Precomputed element geometry (areas, P1 gradients, quadrature points,
-    outer-edge data) is carried along so repeated assembly over parameter
-    values touches only coefficient evaluation.
+    outer-edge data) is carried along; the first ``assemble`` call caches
+    an ``Assembler`` on the mesh, so repeated assembly over parameter
+    values touches only coefficient evaluation and one scatter.
     """
 
     nodes: np.ndarray
@@ -120,6 +123,10 @@ class AnnulusMesh:
     grads: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     quad_points: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     outer_edges: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    # filled by the first ``assemble`` call on this mesh
+    _assembler: "Assembler | None" = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     @property
     def n_nodes(self) -> int:
@@ -308,20 +315,24 @@ def _angles(points) -> np.ndarray:
     return np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2.0 * np.pi)
 
 
+def _sectors(theta, n_dims: int) -> np.ndarray:
+    """Index of the angular sector (of ``n_dims`` equal ones) holding theta."""
+    return np.minimum((theta * n_dims / (2.0 * np.pi)).astype(int), n_dims - 1)
+
+
+def _affine_index(y, eta, sector, chi):
+    return 1.0 + chi * (eta * (y - 1.0) / 2.0)[sector]
+
+
 def affine_refractive_index(y, points, family: ProblemFamily, cfg: HelmholtzConfig):
     """n(y, x) = 1 + indicator-sector * mollifier * eta_i * (y_i - 1)/2."""
     if family.kind != "affine":
         raise ValueError("refractive index applies to the affine family")
-    y = np.asarray(y, dtype=float)
     pts = np.asarray(points, dtype=float)
-    theta = _angles(pts)
-    n_dims = family.n_dims
-    sector = np.minimum(
-        (theta * n_dims / (2.0 * np.pi)).astype(int), n_dims - 1
+    sector = _sectors(_angles(pts), family.n_dims)
+    return _affine_index(
+        np.asarray(y, dtype=float), family.eta, sector, mollifier(pts, cfg)
     )
-    chi = mollifier(pts, cfg)
-    bump = family.eta[sector] * (y[sector] - 1.0) / 2.0
-    return 1.0 + chi * bump
 
 
 def _mode_tables(theta, n_dims: int, amplitude: float, decay: float):
@@ -407,6 +418,75 @@ def domain_map(y, points, family: ProblemFamily, cfg: HelmholtzConfig):
     return phi, jac
 
 
+class _PolarFrame(NamedTuple):
+    """The y-independent factors of the shape pull-back at fixed points.
+
+    ``cc``, ``ss``, ``cs`` and ``c2`` are cos^2, sin^2, cos*sin and
+    cos^2 - sin^2 of the polar angle; ``chi_r`` is chi(r)/r, ``chi_prime``
+    the radial mollifier derivative; ``modes`` and ``mode_derivs`` hold the
+    boundary modes and their theta-derivatives, one column per parameter.
+    """
+
+    cc: np.ndarray
+    ss: np.ndarray
+    cs: np.ndarray
+    c2: np.ndarray
+    chi_r: np.ndarray
+    chi_prime: np.ndarray
+    modes: np.ndarray
+    mode_derivs: np.ndarray
+
+
+def _polar_frame(points, family: ProblemFamily, cfg: HelmholtzConfig) -> _PolarFrame:
+    pts = np.asarray(points, dtype=float)
+    r = np.linalg.norm(pts, axis=-1)
+    if np.any(r == 0):
+        raise ValueError("domain map is undefined at the origin")
+    cos = pts[..., 0] / r
+    sin = pts[..., 1] / r
+    modes, mode_derivs = _mode_tables(
+        _angles(pts), family.n_dims, family.amplitude, family.decay
+    )
+    return _PolarFrame(
+        cc=cos * cos,
+        ss=sin * sin,
+        cs=cos * sin,
+        c2=cos * cos - sin * sin,
+        chi_r=mollifier_radial(r, cfg) / r,
+        chi_prime=_mollifier_radial_deriv(r, cfg),
+        modes=modes,
+        mode_derivs=mode_derivs,
+    )
+
+
+def _pullback(y: np.ndarray, frame: _PolarFrame):
+    """Closed-form A = J^-1 J^-T det J and det J of the radial map.
+
+    In the polar frame Q = [e_r e_t] the Jacobian of ``domain_map`` is
+    J = Q [[1+a, b], [0, 1+c]] Q^T with a = chi' s, b = chi s'/r and
+    c = chi s/r.  Hence det J = (1+a)(1+c) and A = Q M Q^T with
+    M = [[(1+c)/(1+a) + b^2/det J, -b/(1+c)], [-b/(1+c), (1+a)/(1+c)]].
+    Returns the entries (A_00, A_01, A_11) and det J.
+    """
+    s = frame.modes @ y
+    ja = 1.0 + frame.chi_prime * s
+    jc = 1.0 + frame.chi_r * s
+    b = frame.chi_r * (frame.mode_derivs @ y)
+    det = ja * jc
+    if np.any(det <= 1e-12):
+        raise DegenerateMapError(
+            f"domain map degenerates (min det {np.min(det):.3e})"
+        )
+    m_rr = jc / ja + b * b / det
+    m_rt = -b / jc
+    m_tt = ja / jc
+    twist = 2.0 * m_rt * frame.cs
+    a00 = m_rr * frame.cc - twist + m_tt * frame.ss
+    a11 = m_rr * frame.ss + twist + m_tt * frame.cc
+    a01 = (m_rr - m_tt) * frame.cs + m_rt * frame.c2
+    return a00, a01, a11, det
+
+
 def pullback_coefficients(y, points, family: ProblemFamily, cfg: HelmholtzConfig):
     """Diffusion matrix and refraction scalar of the pulled-back problem.
 
@@ -414,69 +494,182 @@ def pullback_coefficients(y, points, family: ProblemFamily, cfg: HelmholtzConfig
     A is symmetric positive definite wherever the map is orientation
     preserving.
     """
-    _, jac = domain_map(y, points, family, cfg)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    if np.any(det <= 1e-12):
-        raise DegenerateMapError(
-            f"domain map degenerates (min det {np.min(det):.3e})"
-        )
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1]
-    inv[..., 1, 1] = jac[..., 0, 0]
-    inv[..., 0, 1] = -jac[..., 0, 1]
-    inv[..., 1, 0] = -jac[..., 1, 0]
-    inv /= det[..., None, None]
-    a = np.einsum("...ik,...jk->...ij", inv, inv) * det[..., None, None]
+    if family.kind != "shape":
+        raise ValueError("domain map applies to the shape family")
+    a00, a01, a11, det = _pullback(
+        np.asarray(y, dtype=float), _polar_frame(points, family, cfg)
+    )
+    a = np.stack([np.stack([a00, a01], -1), np.stack([a01, a11], -1)], -2)
     return a, det
 
 
-def _coefficients_at(y, points, family: ProblemFamily, cfg: HelmholtzConfig):
-    """(A, n) at arbitrary points for either family; A may be None for I."""
-    if family.kind == "affine":
-        return None, affine_refractive_index(y, points, family, cfg)
-    return pullback_coefficients(y, points, family, cfg)
+# P1 mass contributions of the three quadrature nodes: row q holds
+# phi_q phi_q^T flattened, so _MASS_TEMPLATE.T @ (weight * coefficient)
+# gives the element mass matrices.
+_MASS_TEMPLATE = np.einsum("qi,qj->qij", _QUAD_PHI, _QUAD_PHI).reshape(3, 9)
+# local row i and column j of element matrix entry k = 3 i + j
+_ENTRY_ROW = np.repeat(np.arange(3), 3)
+_ENTRY_COL = np.tile(np.arange(3), 3)
+
+
+def _dirichlet_selection(indptr, indices, nodes, n: int):
+    """Entries of a CSR pattern left after eliminating ``nodes``.
+
+    Row and column elimination keeps the entries coupling two free nodes
+    and the diagonal entries of the eliminated ones.  Returns the kept
+    entry positions, the reduced ``indptr`` and the positions of the
+    eliminated nodes' diagonals in the reduced data.
+    """
+    fixed = np.zeros(n, dtype=bool)
+    fixed[nodes] = True
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = fixed[rows] & (rows == indices)
+    kept = np.flatnonzero((~fixed[rows] & ~fixed[indices]) | diagonal)
+    if np.count_nonzero(diagonal) != np.count_nonzero(fixed):
+        raise ValueError("every Dirichlet node needs a stored diagonal entry")
+    reduced_indptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(rows[kept], minlength=n), out=reduced_indptr[1:])
+    return kept, reduced_indptr, np.flatnonzero(diagonal[kept])
+
+
+class Assembler:
+    """The scattering system of one (family, mesh, cfg) at any parameter y.
+
+    Everything independent of y is computed once: the coefficient tables
+    at the quadrature points (mode values and derivatives in the polar
+    frame for ``shape``; sector and mollifier for ``affine``), the
+    per-element stiffness data and the P1 mass template, the CSR pattern
+    with the index scattering the 9 entries of every element into it, the
+    Robin block, the Dirichlet elimination of the scatterer nodes and the
+    incident right-hand side.  A call evaluates the coefficients, forms the
+    element matrices and scatters them into the fixed pattern.
+    """
+
+    def __init__(self, family: ProblemFamily, mesh: AnnulusMesh, cfg: HelmholtzConfig):
+        # No reference to ``mesh``: the mesh caches its assembler, and a
+        # cycle would hold both until the cyclic garbage collector runs.
+        self.family = family
+        self.cfg = cfg
+        # Arrays run over elements along their last axis: quadrature data
+        # is (3, m) and element matrix entries k = 3 i + j are (9, m).
+        m = mesh.n_triangles
+        n = mesh.n_nodes
+        self._shape = (n, n)
+        qp = mesh.quad_points.transpose(1, 0, 2).reshape(-1, 2)
+        self._weights = mesh.areas / 3.0
+        if family.kind == "affine":
+            self._sector = _sectors(_angles(qp), family.n_dims).reshape(3, m)
+            self._chi = mollifier(qp, cfg).reshape(3, m)
+            grads = mesh.grads
+            self._stiffness = (
+                np.einsum("tik,tjk->tij", grads, grads) * mesh.areas[:, None, None]
+            ).reshape(m, 9).T.copy()
+        else:
+            self._frame = _polar_frame(qp, family, cfg)
+            gx, gy = mesh.grads[:, :, 0].T, mesh.grads[:, :, 1].T
+
+            def products(u, v):
+                return self._weights * u[_ENTRY_ROW] * v[_ENTRY_COL]
+
+            # w g_i^T S g_j for S = [[s00, s01], [s01, s11]] is
+            # s00 * xx + s01 * (xy + yx) + s11 * yy
+            self._grad_products = (
+                products(gx, gx),
+                products(gx, gy) + products(gy, gx),
+                products(gy, gy),
+            )
+
+        # CSR pattern of the element and Robin entries, in canonical order
+        tri, edges = mesh.triangles.T, mesh.outer_edges
+        rows = np.concatenate(
+            [tri[_ENTRY_ROW].ravel(), np.repeat(edges, 2, axis=1).ravel()]
+        )
+        cols = np.concatenate([tri[_ENTRY_COL].ravel(), np.tile(edges, (1, 2)).ravel()])
+        keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+        self._indptr, self._indices = pattern.indptr, pattern.indices
+        self._slot = slot[: 9 * m]
+
+        # Robin boundary mass on the outer polygon, exact for P1
+        lengths = np.linalg.norm(
+            mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
+        )
+        block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        self._robin = 1j * np.bincount(
+            slot[9 * m :],
+            weights=((-cfg.k0 * lengths)[:, None, None] * block).ravel(),
+            minlength=keys.size,
+        )
+
+        self._kept, self._reduced_indptr, self._fixed_diagonal = _dirichlet_selection(
+            self._indptr, self._indices, mesh.inner_boundary, n
+        )
+        self._reduced_indices = self._indices[self._kept]
+        self._rhs = incident_rhs(mesh, cfg)
+        self._rhs[mesh.inner_boundary] = 0.0
+
+    def _element_data(self, y: np.ndarray):
+        """Element stiffness entries (9, m) and refraction at the nodes (3, m)."""
+        if self.family.kind == "affine":
+            refraction = _affine_index(y, self.family.eta, self._sector, self._chi)
+            return self._stiffness, refraction
+        a00, a01, a11, det = _pullback(y, self._frame)
+        xx, xy, yy = self._grad_products
+        stiffness = (
+            a00.reshape(3, -1).sum(axis=0) * xx
+            + a01.reshape(3, -1).sum(axis=0) * xy
+            + a11.reshape(3, -1).sum(axis=0) * yy
+        )
+        return stiffness, det.reshape(3, -1)
+
+    def _data(self, y) -> np.ndarray:
+        """Values on the full pattern: stiffness - k0^2 mass - i k0 Robin mass."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.family.n_dims,):
+            raise ValueError("parameter dimension does not match the family")
+        stiffness, refraction = self._element_data(y)
+        mass = _MASS_TEMPLATE.T @ (self._weights * refraction)
+        values = stiffness - self.cfg.k0**2 * mass
+        return self._robin + np.bincount(
+            self._slot, weights=values.ravel(), minlength=self._robin.size
+        )
+
+    def operator(self, y) -> sp.csr_matrix:
+        """The system before the Dirichlet elimination."""
+        return sp.csr_matrix(
+            (self._data(y), self._indices.copy(), self._indptr.copy()),
+            shape=self._shape,
+        )
+
+    def __call__(self, y) -> tuple[sp.csr_matrix, np.ndarray]:
+        """System matrix and right-hand side with the scatterer eliminated."""
+        data = self._data(y)[self._kept]
+        data[self._fixed_diagonal] = 1.0
+        # copied index arrays: an in-place edit of one matrix (sorting,
+        # pruning) must not reach the pattern every later call shares
+        matrix = sp.csr_matrix(
+            (data, self._reduced_indices.copy(), self._reduced_indptr.copy()),
+            shape=self._shape,
+        )
+        return matrix, self._rhs.copy()
+
+
+def _assembler(
+    family: ProblemFamily, mesh: AnnulusMesh, cfg: HelmholtzConfig
+) -> Assembler:
+    """The mesh's cached assembler, rebuilt when family or cfg changes."""
+    asm = mesh._assembler
+    if asm is None or asm.family is not family or asm.cfg != cfg:
+        asm = mesh._assembler = Assembler(family, mesh, cfg)
+    return asm
 
 
 def assemble_operator(
     y, family: ProblemFamily, mesh: AnnulusMesh, cfg: HelmholtzConfig
 ) -> sp.csr_matrix:
     """Stiffness - k0^2 Mass - i k0 BoundaryMass, no essential conditions."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (family.n_dims,):
-        raise ValueError("parameter dimension does not match the family")
-    qp = mesh.quad_points  # (m, 3, 2)
-    w = mesh.areas / 3.0
-    a_coef, n_coef = _coefficients_at(y, qp.reshape(-1, 2), family, cfg)
-    n_coef = n_coef.reshape(qp.shape[0], 3)
-
-    # mass: sum_q w * n_q * phi_q phi_q^T
-    phi_outer = np.einsum("qi,qj->qij", _QUAD_PHI, _QUAD_PHI)
-    me = np.einsum("tq,qij->tij", w[:, None] * n_coef, phi_outer)
-
-    # stiffness: gradients are constant per element, the coefficient is not
-    if a_coef is None:
-        ke = np.einsum("tik,tjk->tij", mesh.grads, mesh.grads) * mesh.areas[:, None, None]
-    else:
-        a_sum = a_coef.reshape(qp.shape[0], 3, 2, 2).sum(axis=1)
-        flux = np.einsum("tqr,tjr->tjq", a_sum, mesh.grads)
-        ke = np.einsum("tiq,tjq->tij", mesh.grads, flux) * w[:, None, None]
-
-    vals = (ke - cfg.k0**2 * me).astype(np.complex128)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_nodes
-    system = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    # Robin boundary mass on the outer polygon, exact for P1
-    pa = mesh.nodes[mesh.outer_edges[:, 0]]
-    pb = mesh.nodes[mesh.outer_edges[:, 1]]
-    lengths = np.linalg.norm(pb - pa, axis=1)
-    block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    b_vals = -1j * cfg.k0 * lengths[:, None, None] * block
-    b_rows = np.repeat(mesh.outer_edges, 2, axis=1).ravel()
-    b_cols = np.tile(mesh.outer_edges, (1, 2)).ravel()
-    boundary = sp.coo_matrix((b_vals.ravel(), (b_rows, b_cols)), shape=(n, n)).tocsr()
-    return (system + boundary).tocsr()
+    return _assembler(family, mesh, cfg).operator(y)
 
 
 def incident_rhs(mesh: AnnulusMesh, cfg: HelmholtzConfig) -> np.ndarray:
@@ -515,26 +708,31 @@ def apply_sound_soft(
     """Impose Dirichlet data on the scatterer by row/column elimination."""
     nodes = mesh.inner_boundary
     n = mesh.n_nodes
+    system = sp.csr_matrix(system, dtype=np.complex128)
+    system.sum_duplicates()
     vals = np.broadcast_to(np.asarray(values, dtype=np.complex128), nodes.shape)
     lift = np.zeros(n, dtype=np.complex128)
     lift[nodes] = vals
     rhs = rhs - system @ lift
-    keep = np.ones(n)
-    keep[nodes] = 0.0
-    proj = sp.diags(keep)
-    system = proj @ system @ proj + sp.diags(1.0 - keep)
-    rhs = keep * rhs
     rhs[nodes] = vals
-    return system.tocsr(), rhs
+    kept, indptr, diagonal = _dirichlet_selection(
+        system.indptr, system.indices, nodes, n
+    )
+    data = system.data[kept]
+    data[diagonal] = 1.0
+    return sp.csr_matrix((data, system.indices[kept], indptr), shape=(n, n)), rhs
 
 
 def assemble(
     y, family: ProblemFamily, mesh: AnnulusMesh, cfg: HelmholtzConfig
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Full scattering system at parameter y: operator, excitation, BC."""
-    system = assemble_operator(y, family, mesh, cfg)
-    rhs = incident_rhs(mesh, cfg)
-    return apply_sound_soft(system, rhs, mesh, values=0.0)
+    """Full scattering system at parameter y: operator, excitation, BC.
+
+    Reuses the ``Assembler`` cached on ``mesh``, built at the first call
+    for this family and cfg.
+    """
+    return _assembler(family, mesh, cfg)(y)
+
 
 
 def save_mesh(path, mesh: AnnulusMesh) -> None:

@@ -35,6 +35,9 @@ __all__ = [
 # Densification guard for the contraction-factor helper.
 _DENSE_GUARD = 2000
 
+# Krylov vectors allocated before the GMRES storage first grows.
+_FIRST_WIDTH = 32
+
 
 class SingularMatrixError(ValueError):
     """The matrix admits no usable LU factorization."""
@@ -110,6 +113,13 @@ def _givens(f: complex, g: float) -> tuple[float, complex]:
     return c, s
 
 
+def _grown(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Zero-padded copy of ``array`` enlarged to ``shape``."""
+    out = np.zeros(shape, dtype=array.dtype)
+    out[: array.shape[0], : array.shape[1]] = array
+    return out
+
+
 def gmres_left(
     pc: LuPreconditioner,
     matrix,
@@ -152,9 +162,12 @@ def gmres_left(
             preconditioned_relative_residual=0.0,
         )
 
-    basis = np.empty((max_iter + 1, n), dtype=np.complex128)
+    # The Krylov basis and the Hessenberg matrix grow by doubling: with
+    # max_iter up to n, full-size storage would be quadratic in n.
+    width = min(_FIRST_WIDTH, max_iter)
+    basis = np.empty((width + 1, n), dtype=np.complex128)
     basis[0] = pb / beta
-    hess = np.zeros((max_iter + 1, max_iter), dtype=np.complex128)
+    hess = np.zeros((width + 1, width), dtype=np.complex128)
     cos = np.zeros(max_iter)
     sin = np.zeros(max_iter, dtype=np.complex128)
     g = np.zeros(max_iter + 1, dtype=np.complex128)
@@ -164,6 +177,10 @@ def gmres_left(
     steps = 0
     breakdown = False
     for j in range(max_iter):
+        if j == width:
+            width = min(2 * width, max_iter)
+            basis = _grown(basis, (width + 1, n))
+            hess = _grown(hess, (width + 1, width))
         w = pc.apply(a @ basis[j])
         # Modified Gram-Schmidt with one unconditional re-pass: the
         # preconditioned operators here cluster near the identity and a

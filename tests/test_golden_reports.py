@@ -1,0 +1,69 @@
+"""Synthetic-mode reports compared byte for byte with committed copies.
+
+The JSON files under ``tests/data/`` were written by ``emit_report`` from
+``run_pipeline`` on the configs below.  In synthetic cost mode a report
+depends only on its config, so any change to assembly, solvers, the
+surrogate or placement that alters a number shows up here.  After a change
+that is meant to alter reports, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and say in the change log why they moved.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from pcplace.harness import ExperimentConfig, emit_report, run_pipeline
+from pcplace.helmholtz import max_safe_amplitude
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN_CONFIGS = {
+    # cheap builds: the planner places several preconditioners
+    "golden_affine": {
+        "family": {"kind": "affine", "eta": [0.8, 0.6]},
+        "k0": 10.0,
+        "n_points": 36,
+        "sampling": "grid",
+        "seed": 5,
+        "placement": {"n_restarts": 0},
+        "cost": {"mode": "synthetic", "c_build": 1e-5, "c_iter": 1e-6},
+    },
+    # the shape pull-back with seeded uniform targets
+    "golden_shape": {
+        "family": {
+            "kind": "shape",
+            "n_dims": 2,
+            "amplitude": 0.5 * max_safe_amplitude(2.0),
+            "decay": 2.0,
+        },
+        "k0": 8.0,
+        "n_points": 20,
+        "seed": 3,
+        "cost": {"mode": "synthetic", "c_build": 1e-5, "c_iter": 1e-6},
+    },
+}
+
+
+def _write(name: str, path) -> None:
+    report, _, _ = run_pipeline(ExperimentConfig.from_dict(GOLDEN_CONFIGS[name]))
+    emit_report(report, "json", path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_report_matches_golden_bytes(name, tmp_path):
+    fresh = tmp_path / f"{name}.json"
+    _write(name, fresh)
+    assert fresh.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for key in sys.argv[1:] or sorted(GOLDEN_CONFIGS):
+        _write(key, DATA / f"{key}.json")
+        print(f"wrote {DATA / f'{key}.json'}")

@@ -255,8 +255,130 @@ class TestPullback:
             expected = np.sort([sv[0] / sv[1], sv[1] / sv[0]])
             assert_allclose(np.sort(np.linalg.eigvalsh(a)), expected, rtol=1e-10)
 
+    def test_closed_form_matches_explicit_inverse(self):
+        fam = shape_family(5, 0.9 * max_safe_amplitude(2.0), 2.0, self.CFG)
+        rng = np.random.default_rng(10)
+        r = rng.uniform(0.26, 1.0, 400)
+        th = rng.uniform(0, 2 * np.pi, 400)
+        x = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        for _ in range(10):
+            y = rng.uniform(-1, 1, 5)
+            _, jac = domain_map(y, x, fam, self.CFG)
+            det = np.linalg.det(jac)
+            inv = np.linalg.inv(jac)
+            expected = inv @ np.swapaxes(inv, -1, -2) * det[:, None, None]
+            a, n = pullback_coefficients(y, x, fam, self.CFG)
+            assert np.max(np.abs(a - expected)) <= 1e-13
+            assert np.max(np.abs(n - det)) <= 1e-13
+
+
+def reference_system(y, fam, mesh, cfg):
+    """Element-by-element assembly with explicit inverses, as a dict of entries."""
+    from pcplace.helmholtz import _QUAD_PHI
+
+    entries = {}
+
+    def add(i, j, v):
+        entries[(i, j)] = entries.get((i, j), 0.0) + v
+
+    for t, tri in enumerate(mesh.triangles):
+        qp = mesh.quad_points[t]
+        if fam.kind == "affine":
+            coef = [(np.eye(2), n) for n in affine_refractive_index(y, qp, fam, cfg)]
+        else:
+            _, jacs = domain_map(y, qp, fam, cfg)
+            coef = []
+            for jac in jacs:
+                inv = np.linalg.inv(jac)
+                det = np.linalg.det(jac)
+                coef.append((inv @ inv.T * det, det))
+        w = mesh.areas[t] / 3.0
+        g = mesh.grads[t]
+        for i in range(3):
+            for j in range(3):
+                v = sum(
+                    w * (g[i] @ a @ g[j] - cfg.k0**2 * n * phi[i] * phi[j])
+                    for phi, (a, n) in zip(_QUAD_PHI, coef)
+                )
+                add(tri[i], tri[j], v)
+    for a, b in mesh.outer_edges:
+        length = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a])
+        for i, j, c in ((a, a, 2), (b, b, 2), (a, b, 1), (b, a, 1)):
+            add(i, j, -1j * cfg.k0 * length * c / 6.0)
+    fixed = set(mesh.inner_boundary.tolist())
+    return {
+        (i, j): 1.0 if i in fixed else v
+        for (i, j), v in entries.items()
+        if (i not in fixed and j not in fixed) or i == j
+    }
+
 
 class TestAssembly:
+    def test_matches_element_loop_reference(self):
+        cfg = HelmholtzConfig(k0=5.0, mesh_size=0.2)
+        mesh = build_annulus_mesh(cfg)
+        rng = np.random.default_rng(12)
+        families = [
+            affine_family([0.6, 0.3, 0.8], cfg),
+            shape_family(3, 0.9 * max_safe_amplitude(2.0), 2.0, cfg),
+        ]
+        for fam in families:
+            for y in [np.zeros(fam.n_dims), *rng.uniform(-1, 1, (3, fam.n_dims))]:
+                a, b = assemble(y, fam, mesh, cfg)
+                ref = reference_system(y, fam, mesh, cfg)
+                coo = a.tocoo()
+                assert a.nnz == len(ref)
+                assert set(zip(coo.row.tolist(), coo.col.tolist())) == set(ref)
+                expected = np.array([ref[(i, j)] for i, j in zip(coo.row, coo.col)])
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(coo.data - expected)) <= 1e-13 * scale
+                rhs = incident_rhs(mesh, cfg)
+                rhs[mesh.inner_boundary] = 0.0
+                assert np.array_equal(b, rhs)
+
+    def test_reused_mesh_follows_family_and_cfg(self):
+        cfg = HelmholtzConfig(k0=5.0, mesh_size=0.2)
+        other_cfg = HelmholtzConfig(k0=7.0, mesh_size=0.2)
+        mesh = build_annulus_mesh(cfg)
+        y = np.array([0.4, -0.3])
+        shape = shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg)
+        calls = [
+            (affine_family([0.5, 0.5], cfg), cfg),
+            (affine_family([0.8, 0.2], cfg), cfg),
+            (shape, cfg),
+            (shape, other_cfg),
+        ]
+        for fam, c in calls:
+            a, b = assemble(y, fam, mesh, c)
+            a_fresh, b_fresh = assemble(y, fam, build_annulus_mesh(cfg), c)
+            assert (a != a_fresh).nnz == 0
+            assert np.array_equal(b, b_fresh)
+
+    def test_cached_assembler_dies_with_its_mesh(self):
+        # no reference cycle: dropping the mesh frees the cached data at
+        # once, without waiting for the cyclic garbage collector
+        import gc
+        import weakref
+
+        cfg = HelmholtzConfig(k0=5.0, mesh_size=0.2)
+        mesh = build_annulus_mesh(cfg)
+        fam = affine_family([0.5, 0.5], cfg)
+        assemble(np.zeros(2), fam, mesh, cfg)
+        ref = weakref.ref(mesh._assembler)
+        gc.disable()
+        try:
+            del mesh
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_assemble_raises_on_degenerate_map(self):
+        cfg = HelmholtzConfig(k0=5.0)
+        mesh = build_annulus_mesh(cfg)
+        fam = shape_family(2, 0.9 * max_safe_amplitude(2.0), 2.0, cfg)
+        with pytest.raises(DegenerateMapError):
+            assemble(np.array([-8.0, 0.0]), fam, mesh, cfg)
+
     def test_mass_total_equals_area(self):
         cfg = HelmholtzConfig(k0=5.0, mesh_size=0.1)
         mesh = build_annulus_mesh(cfg)

@@ -111,6 +111,38 @@ class TestGmresLeft:
             assert rep.iterations == len(hist) - 1
             assert np.all(np.diff(hist) <= 1e-12)
 
+    def test_storage_grows_past_first_allocation(self):
+        # spread eigenvalues and an identity preconditioner need more
+        # iterations than the first Krylov allocation holds
+        n = 150
+        a = sp.diags(np.linspace(1.0, 200.0, n) * np.exp(0.3j)).tocsr()
+        pc = lu_factor(sp.eye(n, format="csr"))
+        b = np.ones(n, dtype=complex)
+        rep = gmres_left(pc, a, b, tol=1e-10)
+        assert rep.converged and rep.iterations > 64
+        assert_allclose(rep.solution, b / a.diagonal(), rtol=1e-8)
+
+    def test_default_max_iter_at_k0_40(self):
+        # n = 48,972: a basis sized by the default max_iter = n would need
+        # about 36 GiB; the solve itself takes a few dozen vectors
+        from pcplace.helmholtz import (
+            HelmholtzConfig,
+            assemble,
+            build_annulus_mesh,
+            max_safe_amplitude,
+            shape_family,
+        )
+
+        cfg = HelmholtzConfig(k0=40.0)
+        mesh = build_annulus_mesh(cfg)
+        family = shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg)
+        pc = lu_factor(assemble(np.zeros(2), family, mesh, cfg)[0])
+        a, b = assemble(np.ones(2), family, mesh, cfg)
+        assert cfg.max_iter is None
+        rep = gmres_left(pc, a, b, tol=cfg.tol, max_iter=cfg.max_iter)
+        assert rep.converged
+        assert rep.true_relative_residual <= 10 * cfg.tol
+
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

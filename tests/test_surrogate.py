@@ -226,6 +226,16 @@ class TestPosterior:
         )
         assert np.all(var > 0)
 
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_prior_variance_is_kernel_diagonal(self, dims):
+        rng = np.random.default_rng(9)
+        prior = make_prior(dims)
+        gp = GpState(prior, coeffs=(1.0, 1.0))
+        d = rng.uniform(-1, 1, size=(400, dims))
+        _, var = gp.posterior(d)  # no training pairs: var is k(d, d)
+        diag = kernel_matrix(d, d, prior.profile.corr_lengths).diagonal()
+        assert np.array_equal(var, np.maximum(diag, 0.0))
+
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(8)
         prior = make_prior(3)
