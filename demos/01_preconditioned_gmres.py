@@ -31,7 +31,7 @@ for t in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
     print(
         f"   |y| = {np.linalg.norm(y):4.2f}            "
         f"|      {report.iterations:3d}         "
-        f"|  {report.preconditioned_relative_residual:.2e}"
+        f"|  {report.residual_history[-1]:.2e}"
     )
 
 # the residual history is monotone: full GMRES minimizes at every step

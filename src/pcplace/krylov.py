@@ -100,7 +100,6 @@ class SolveReport:
     residual_history: list[float]
     krylov_time: float
     true_relative_residual: float = np.nan
-    preconditioned_relative_residual: float = np.nan
 
 
 def _givens(f: complex, g: float) -> tuple[float, complex]:
@@ -159,7 +158,6 @@ def gmres_left(
             residual_history=[0.0],
             krylov_time=time.perf_counter() - start,
             true_relative_residual=0.0,
-            preconditioned_relative_residual=0.0,
         )
 
     # The Krylov basis and the Hessenberg matrix grow by doubling: with
@@ -232,7 +230,6 @@ def gmres_left(
     residual = b - a @ x
     bnorm = float(np.linalg.norm(b))
     true_rel = float(np.linalg.norm(residual)) / bnorm
-    pre_rel = float(np.linalg.norm(pc.apply(residual))) / beta
     return SolveReport(
         solution=x,
         iterations=steps,
@@ -240,7 +237,6 @@ def gmres_left(
         residual_history=history,
         krylov_time=elapsed,
         true_relative_residual=true_rel,
-        preconditioned_relative_residual=pre_rel,
     )
 
 

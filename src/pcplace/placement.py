@@ -124,6 +124,32 @@ def allocate(points: np.ndarray, locations: np.ndarray, m) -> tuple[np.ndarray, 
     return assignment, table[np.arange(table.shape[0]), assignment]
 
 
+# Absolute forward-difference step, as scipy's L-BFGS-B uses by default.
+_FD_STEP = 1e-8
+
+
+def _cell_totals(cell: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
+    """Total m of the cell against each row of ``locations``, in one m call."""
+    shifts = (cell[None, :, :] - locations[:, None, :]).reshape(-1, cell.shape[1])
+    return np.asarray(m(shifts), dtype=float).reshape(locations.shape[0], -1).sum(axis=1)
+
+
+def _value_and_gradient(yhat, cell: np.ndarray, m, box: ParamBox):
+    """The cell's total m at yhat and its forward-difference gradient.
+
+    The stencil [yhat, yhat + h e_1, ..., yhat + h e_d] is evaluated in one
+    m call; each step is flipped backward where the forward step would
+    leave the box, and the gradient divides by the realized step.
+    """
+    yhat = np.asarray(yhat, dtype=float)
+    step = np.where(yhat + _FD_STEP > box.hi, -_FD_STEP, _FD_STEP)
+    stencil = np.tile(yhat, (yhat.size + 1, 1))
+    stencil[1:] += np.diag(step)
+    totals = _cell_totals(cell, stencil, m)
+    dx = (yhat + step) - yhat
+    return float(totals[0]), (totals[1:] - totals[0]) / dx
+
+
 def locate(
     cell: np.ndarray,
     m,
@@ -134,18 +160,16 @@ def locate(
 ) -> tuple[np.ndarray, bool]:
     """Weber step: a box-constrained minimizer of the cell's total m.
 
-    Runs a quasi-Newton optimizer (numeric gradients, box bounds) from the
-    incumbent, the cell centroid, a few cell members and random restarts,
-    and returns the best candidate seen, never worse than the incumbent.
+    Runs a quasi-Newton optimizer (box bounds, batched forward-difference
+    gradients: one m call per step) from the incumbent, the cell centroid,
+    a few cell members and random restarts, and returns the best candidate
+    seen, never worse than the incumbent.
     """
     cell = np.atleast_2d(np.asarray(cell, dtype=float))
     if cell.shape[0] == 0:
         raise ValueError("cannot locate for an empty cell")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def objective(yhat):
-        return float(np.sum(m(cell - yhat)))
 
     starts = [np.asarray(incumbent, dtype=float), cell.mean(axis=0)]
     member_picks = {0, cell.shape[0] // 2, cell.shape[0] - 1}
@@ -155,15 +179,55 @@ def locate(
     )
 
     bounds = list(zip(box.lo, box.hi))
-    candidates = [(objective(s), s) for s in starts]
+    candidates = list(zip(_cell_totals(cell, np.vstack(starts), m).tolist(), starts))
     for s in starts:
-        res = minimize(objective, s, method="L-BFGS-B", bounds=bounds)
+        res = minimize(
+            _value_and_gradient, s, args=(cell, m, box), method="L-BFGS-B",
+            jac=True, bounds=bounds,
+        )
         candidates.append((float(res.fun), box.clip(res.x)))
     values = np.array([v for v, _ in candidates])
     best = int(np.argmin(values))
     incumbent_value = candidates[0][0]
     improved = values[best] < incumbent_value - 1e-12
     return candidates[best][1], improved
+
+
+def _prune(points, locations, fixed_mask, assignment, per_m, m, cost_ratio):
+    """Drop chargeable preconditioners that do not pay for themselves.
+
+    A preconditioner goes when its cell reassigns more cheaply than one
+    build; each round drops the one whose removal lowers the cost most.
+    Locations do not move here, so the (n, k) metric table is built once
+    and a trial drop is an argmin over the kept columns in their original
+    order (ties break to the lowest kept index, as in ``allocate``).
+    Returns the kept locations, their fixed mask, the assignment into
+    them and the per-target m values.
+    """
+    if locations.shape[0] < 2:
+        return locations, fixed_mask, assignment, per_m
+    table = _metric_table(points, locations, m)
+    rows = np.arange(points.shape[0])
+    kept = np.arange(locations.shape[0])
+    while kept.size > 1:
+        current = cost_ratio * int((~fixed_mask[kept]).sum()) + float(per_m.sum())
+        best_cost, best_state = current, None
+        for k in kept:
+            if fixed_mask[k]:
+                continue
+            trial_kept = kept[kept != k]
+            trial_assignment = np.argmin(table[:, trial_kept], axis=1)
+            trial_m = table[rows, trial_kept[trial_assignment]]
+            trial_cost = cost_ratio * int((~fixed_mask[trial_kept]).sum()) + float(
+                trial_m.sum()
+            )
+            if trial_cost < best_cost - 1e-12:
+                best_cost = trial_cost
+                best_state = (trial_kept, trial_assignment, trial_m)
+        if best_state is None:
+            break
+        kept, assignment, per_m = best_state
+    return locations[kept], fixed_mask[kept], assignment, per_m
 
 
 def greedy_init(
@@ -310,27 +374,9 @@ def plan_placement(
             if gain < step_cost:
                 break
 
-    # Pruning: drop chargeable preconditioners that do not pay for
-    # themselves (their cell reassigns more cheaply than one build).
-    while locations.shape[0] > 1:
-        current = cost_ratio * int((~fixed_mask).sum()) + float(per_m.sum())
-        best_k, best_cost, best_state = -1, current, None
-        for k in range(locations.shape[0]):
-            if fixed_mask[k]:
-                continue
-            keep = np.arange(locations.shape[0]) != k
-            trial_assignment, trial_m = allocate(points, locations[keep], m)
-            trial_cost = cost_ratio * int((~fixed_mask[keep]).sum()) + float(
-                trial_m.sum()
-            )
-            if trial_cost < best_cost - 1e-12:
-                best_k, best_cost = k, trial_cost
-                best_state = (keep, trial_assignment, trial_m)
-        if best_k < 0:
-            break
-        keep, assignment, per_m = best_state
-        locations = locations[keep]
-        fixed_mask = fixed_mask[keep]
+    locations, fixed_mask, assignment, per_m = _prune(
+        points, locations, fixed_mask, assignment, per_m, m, cost_ratio
+    )
 
     cost = cost_ratio * int((~fixed_mask).sum()) + float(per_m.sum())
     return PlacementPlan(

@@ -296,6 +296,16 @@ class GpState:
             resid = self.alphas - self._prior_at(self.deltas)
             self._weights = scipy.linalg.cho_solve(self._factor, resid)
 
+    def mean(self, deltas: np.ndarray) -> np.ndarray:
+        """Posterior mean of alpha at the given shifts, without the variance."""
+        d = np.atleast_2d(np.asarray(deltas, dtype=float))
+        mu = self._prior_at(d)
+        if self.n_train == 0:
+            return mu
+        self._ensure_weights()
+        k_cross = kernel_matrix(d, self.deltas, self.prior.profile.corr_lengths)
+        return mu + k_cross @ self._weights
+
     def posterior(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance of alpha at the given shifts."""
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
@@ -374,8 +384,7 @@ class TrainedSurrogate:
     def expected_iterations(self, deltas: np.ndarray) -> np.ndarray:
         """Estimated GMRES iterations for the given parameter shifts (>= 1)."""
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
-        mean, _ = self.gp.posterior(d)
-        alpha = np.clip(mean, ALPHA_MIN, ALPHA_MAX)
+        alpha = np.clip(self.gp.mean(d), ALPHA_MIN, ALPHA_MAX)
         m = np.maximum(1.0, self.iter_map.iters_from_alpha(alpha))
         return m if np.asarray(deltas).ndim > 1 else float(m[0])
 

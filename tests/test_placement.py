@@ -3,10 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
 
+from pcplace import placement
 from pcplace.param_space import ParamBox, ParamSet
 from pcplace.placement import (
     PlacementPlan,
+    _prune,
+    _value_and_gradient,
     allocate,
     greedy_init,
     locate,
@@ -161,6 +165,109 @@ class TestLocate:
         cell = np.array([[-1.0], [1.0]])
         loc, _ = locate(cell, quadratic_m, self.BOX, incumbent=np.array([0.9]))
         assert abs(loc[0]) <= 1e-6
+
+    @pytest.mark.parametrize("on_upper_bound", [False, True])
+    def test_gradient_matches_scipy_forward_difference(self, on_upper_bound):
+        rng = np.random.default_rng(4)
+        box = ParamBox(np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0]))
+        x = np.array([0.3, -0.2, 1.1])
+        if on_upper_bound:
+            x[[0, 2]] = box.hi[[0, 2]]
+        # a member at x puts a kink of the |d| term there: forward and
+        # backward differences then differ by 2 per coordinate
+        cell = np.vstack([rng.uniform(box.lo, box.hi, size=(8, 3)), x])
+
+        def metric(deltas):
+            d = np.atleast_2d(deltas)
+            return (
+                np.sqrt(1.0 + 40.0 * np.sum(d * d, axis=1))
+                + np.sin(3.0 * d[:, 0])
+                + (np.abs(d).sum(axis=1) if on_upper_bound else 0.0)
+            )
+
+        value, grad = _value_and_gradient(x, cell, metric, box)
+
+        def total(y):
+            return float(np.sum(metric(cell - y)))
+
+        expected = approx_derivative(
+            total, x, method="2-point", abs_step=1e-8, bounds=(box.lo, box.hi)
+        )
+        assert value == total(x)
+        assert_allclose(grad, expected, rtol=1e-6)
+
+    def test_one_metric_call_per_objective_evaluation(self, monkeypatch):
+        nfev = []
+        scipy_minimize = placement.minimize
+
+        def counting_minimize(*args, **kwargs):
+            res = scipy_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(placement, "minimize", counting_minimize)
+        calls = []
+        base = floored_scaled_m(8.0)
+
+        def counting_m(deltas):
+            calls.append(np.atleast_2d(deltas).shape[0])
+            return base(deltas)
+
+        rng = np.random.default_rng(5)
+        box = ParamBox.symmetric_unit(2)
+        cell = rng.uniform(-1, 1, size=(6, 2))
+        locate(cell, counting_m, box, incumbent=np.zeros(2), rng=rng, n_restarts=2)
+        assert len(nfev) == 5 + 2
+        assert len(calls) == 1 + sum(nfev)
+        assert calls[0] == 7 * 6  # every start's value in one call
+        assert set(calls[1:]) == {3 * 6}  # the (d+1)-row stencil per step
+
+
+class TestPrune:
+    @staticmethod
+    def allocate_pruning(points, locations, fixed_mask, assignment, per_m, m, ratio):
+        """The pruning loop as written before the metric table: one
+        ``allocate`` per trial drop."""
+        while locations.shape[0] > 1:
+            current = ratio * int((~fixed_mask).sum()) + float(per_m.sum())
+            best_k, best_cost, best_state = -1, current, None
+            for k in range(locations.shape[0]):
+                if fixed_mask[k]:
+                    continue
+                keep = np.arange(locations.shape[0]) != k
+                trial_assignment, trial_m = allocate(points, locations[keep], m)
+                trial_cost = ratio * int((~fixed_mask[keep]).sum()) + float(
+                    trial_m.sum()
+                )
+                if trial_cost < best_cost - 1e-12:
+                    best_k, best_cost = k, trial_cost
+                    best_state = (keep, trial_assignment, trial_m)
+            if best_k < 0:
+                break
+            keep, assignment, per_m = best_state
+            locations = locations[keep]
+            fixed_mask = fixed_mask[keep]
+        return locations, fixed_mask, assignment, per_m
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_allocate_per_trial(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1, 1, size=(60, 2))
+        locations = rng.uniform(-1, 1, size=(12, 2))
+        # two fixed copies at a target are never pruned, so the ties
+        # between them must break to the lower index in the final
+        # assignment too
+        locations[:2] = points[0]
+        fixed_mask = np.zeros(12, dtype=bool)
+        fixed_mask[:2] = True
+        m = floored_scaled_m(6.0)
+        assignment, per_m = allocate(points, locations, m)
+        args = (points, locations, fixed_mask, assignment, per_m, m, 4.0)
+        got = _prune(*args)
+        want = self.allocate_pruning(*args)
+        assert 1 < want[0].shape[0] < 12 and np.any(want[2] == 0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestGreedyInit:

@@ -236,6 +236,17 @@ class TestPosterior:
         diag = kernel_matrix(d, d, prior.profile.corr_lengths).diagonal()
         assert np.array_equal(var, np.maximum(diag, 0.0))
 
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_mean_is_posterior_mean_bitwise(self, dims, rows):
+        rng = np.random.default_rng(10)
+        gp = GpState(make_prior(dims), coeffs=(0.3, 0.2))
+        gp.add_pair(np.zeros(dims), 2.5e-11)
+        for _ in range(12):
+            gp.add_pair(rng.uniform(-1, 1, dims), rng.uniform(0.0, 0.5))
+        d = rng.uniform(-1, 1, size=(rows, dims))
+        assert np.array_equal(gp.mean(d), gp.posterior(d)[0])
+
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(8)
         prior = make_prior(3)
