@@ -1,12 +1,13 @@
 """Synthetic-mode reports compared byte for byte with committed copies.
 
 The JSON files under ``tests/data/`` were written by ``emit_report`` from
-``run_pipeline`` on the configs below.  In synthetic cost mode a report
-depends only on its config, so any change to assembly, solvers, the
-surrogate or placement that alters a number shows up here.  After a change
-that is meant to alter reports, regenerate them with
+``run_pipeline`` and from both baselines on the configs below.  In
+synthetic cost mode a report depends only on its config, so any change to
+assembly, solvers, the surrogate, placement or cost accounting that alters
+a number shows up here.  After a change that is meant to alter reports,
+regenerate them with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 
 and say in the change log why they moved.
 """
@@ -18,7 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from pcplace.harness import ExperimentConfig, emit_report, run_pipeline
+from pcplace.harness import (
+    ExperimentConfig,
+    baseline_mean_based,
+    baseline_per_point,
+    emit_report,
+    run_pipeline,
+)
 from pcplace.helmholtz import max_safe_amplitude
 
 DATA = Path(__file__).parent / "data"
@@ -49,13 +56,27 @@ GOLDEN_CONFIGS = {
     },
 }
 
+STRATEGIES = {
+    "": lambda exp: run_pipeline(exp)[0],
+    "_mean_based": baseline_mean_based,
+    "_per_point": baseline_per_point,
+}
+
+# golden file stem -> (config name, strategy)
+GOLDEN_REPORTS = {
+    config + suffix: (config, strategy)
+    for config in GOLDEN_CONFIGS
+    for suffix, strategy in STRATEGIES.items()
+}
+
 
 def _write(name: str, path) -> None:
-    report, _, _ = run_pipeline(ExperimentConfig.from_dict(GOLDEN_CONFIGS[name]))
+    config, strategy = GOLDEN_REPORTS[name]
+    report = strategy(ExperimentConfig.from_dict(GOLDEN_CONFIGS[config]))
     emit_report(report, "json", path)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_report_matches_golden_bytes(name, tmp_path):
     fresh = tmp_path / f"{name}.json"
     _write(name, fresh)
@@ -64,6 +85,6 @@ def test_report_matches_golden_bytes(name, tmp_path):
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for key in sys.argv[1:] or sorted(GOLDEN_CONFIGS):
+    for key in sys.argv[1:] or sorted(GOLDEN_REPORTS):
         _write(key, DATA / f"{key}.json")
         print(f"wrote {DATA / f'{key}.json'}")
