@@ -11,10 +11,9 @@ on 99% of the targets, more solves are not worth their cost.
 import numpy as np
 
 from pcplace import ExperimentConfig
-from pcplace.harness import sample_parameter_set
-from pcplace.helmholtz import assemble, build_annulus_mesh, max_safe_amplitude
+from pcplace.harness import train
+from pcplace.helmholtz import assemble, max_safe_amplitude
 from pcplace.krylov import gmres_left
-from pcplace.surrogate import FemSolveOracle, SurrogatePrior, train_surrogate_core
 
 exp = ExperimentConfig.from_dict(
     {
@@ -29,16 +28,10 @@ exp = ExperimentConfig.from_dict(
         "seed": 42,
     }
 )
-cfg = exp.helmholtz_config()
-family = exp.build_family(cfg)
-mesh = build_annulus_mesh(cfg)
-targets = sample_parameter_set(exp)
-oracle = FemSolveOracle(targets, family, mesh, cfg, exp.cost_policy())
-prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
-
-surrogate = train_surrogate_core(targets, oracle, prior, tol=cfg.tol)
+surrogate, oracle = train(exp)
+family, mesh, cfg = oracle.family, oracle.mesh, oracle.cfg
 print(
-    f"trained with {len(surrogate.evaluated)} solves out of {len(targets)} targets"
+    f"trained with {len(surrogate.evaluated)} solves out of {len(oracle.points)} targets"
 )
 print(f"break-even iteration count m_max = {surrogate.m_max:.1f}")
 print("disagree-ratio trace:", [round(v, 3) for v in surrogate.sp_history])

@@ -30,7 +30,6 @@ from .helmholtz import (
     shape_family,
 )
 from .krylov import (
-    CostModel,
     CostPolicy,
     LuPreconditioner,
     SolveReport,
@@ -46,7 +45,6 @@ from .surrogate import (
     SpTracker,
     SurrogatePrior,
     TrainedSurrogate,
-    train_surrogate,
     train_surrogate_core,
 )
 

@@ -17,20 +17,18 @@ import argparse
 import sys
 from pathlib import Path
 
-
 from .harness import (
     ExperimentConfig,
     baseline_mean_based,
     baseline_per_point,
     emit_report,
     load_report,
+    place,
     run_pipeline,
     sample_parameter_set,
+    train,
 )
-from .placement import plan_placement
-from .surrogate import FemSolveOracle, SurrogatePrior, TrainedSurrogate, train_surrogate_core
-
-from .helmholtz import build_annulus_mesh
+from .surrogate import TrainedSurrogate
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -61,19 +59,11 @@ def _outdir(exp: ExperimentConfig) -> Path:
 def _cmd_train(args) -> int:
     exp = _load_config(args)
     out = _outdir(exp)
-    cfg = exp.helmholtz_config()
-    family = exp.build_family(cfg)
-    mesh = build_annulus_mesh(cfg)
-    targets = sample_parameter_set(exp)
-    oracle = FemSolveOracle(targets, family, mesh, cfg, exp.cost_policy())
-    prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
-    surrogate = train_surrogate_core(
-        targets, oracle, prior, tol=cfg.tol, sp_window=exp.sp_window
-    )
+    surrogate, oracle = train(exp)
     path = out / "surrogate.json"
     surrogate.save(path)
     print(
-        f"trained on {len(surrogate.evaluated)} of {len(targets)} points, "
+        f"trained on {len(surrogate.evaluated)} of {len(oracle.points)} points, "
         f"m_max={surrogate.m_max:.2f} -> {path}"
     )
     return 0
@@ -84,24 +74,11 @@ def _cmd_place(args) -> int:
     out = _outdir(exp)
     surrogate_path = args.surrogate or out / "surrogate.json"
     surrogate = TrainedSurrogate.load(surrogate_path)
-    targets = sample_parameter_set(exp)
-    remaining = targets.without_indices(surrogate.evaluated)
+    remaining = sample_parameter_set(exp).without_indices(surrogate.evaluated)
     if len(remaining) == 0:
         print("training consumed every target; nothing to place")
         return 0
-    plan = plan_placement(
-        remaining,
-        surrogate.expected_iterations,
-        cost_ratio=surrogate.m_max,
-        pc_fixed=[surrogate.ybar],
-        seed=exp.seed,
-        mode=exp.cost_mode,
-        tau_krylov=surrogate.tau_krylov,
-        la_max_iter=exp.la_max_iter,
-        rel_improvement_floor=exp.rel_improvement_floor,
-        time_gain_kappa=exp.kappa,
-        n_restarts=exp.n_restarts,
-    )
+    plan = place(exp, surrogate, remaining)
     path = out / "plan.json"
     plan.save(path)
     print(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import jsonschema
 import numpy as np
@@ -44,6 +44,8 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "sample_parameter_set",
+    "train",
+    "place",
     "run_pipeline",
     "baseline_mean_based",
     "baseline_per_point",
@@ -202,39 +204,6 @@ class ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        fam: dict = {"kind": self.family_kind}
-        if self.family_kind == "affine":
-            fam["eta"] = list(self.eta)
-        else:
-            fam.update(
-                n_dims=self.n_dims, amplitude=self.amplitude, decay=self.decay
-            )
-        return {
-            "family": fam,
-            "k0": self.k0,
-            "n_points": self.n_points,
-            "sampling": self.sampling,
-            "seed": self.seed,
-            "tol": self.tol,
-            "mesh_constant": self.mesh_constant,
-            "mesh_size": self.mesh_size,
-            "max_iter": self.max_iter,
-            "cost": {
-                "mode": self.cost_mode,
-                "c_build": self.c_build,
-                "c_iter": self.c_iter,
-            },
-            "sp_window": self.sp_window,
-            "placement": {
-                "la_max_iter": self.la_max_iter,
-                "rel_improvement_floor": self.rel_improvement_floor,
-                "n_restarts": self.n_restarts,
-                "kappa": self.kappa,
-            },
-            "output_dir": self.output_dir,
-        }
-
     def with_overrides(self, seed=None, cost_mode=None, output_dir=None):
         updates = {}
         if seed is not None:
@@ -327,46 +296,19 @@ class RunReport:
         return self.t_train + self.t_l_al + self.t_exec
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "format_version": 1,
-            "label": self.label,
-            "n_dims": self.n_dims,
-            "k0": self.k0,
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "cost_mode": self.cost_mode,
-            "n_ratio": self.n_ratio,
-            "t_train": self.t_train,
-            "t_l_al": self.t_l_al,
-            "t_exec": self.t_exec,
-            "t_tot": self.t_tot,
-            "n_pc": self.n_pc,
-            "it_av": self.it_av,
-            "cost_total": self.cost_total,
-            "cost_mean_based": self.cost_mean_based,
-            "cost_per_point": self.cost_per_point,
-            "cost_mean_based_estimated": self.cost_mean_based_estimated,
-            "degraded": self.degraded,
-            "m_max": self.m_max,
-            "per_point": self.per_point,
-            "pc_locations": self.pc_locations,
-            "pc_fixed_mask": self.pc_fixed_mask,
-            "disagree_trace": self.disagree_trace,
-            "rmse_trace": self.rmse_trace,
-            "greedy_cost_trace": self.greedy_cost_trace,
-            "sigma_m_trace": self.sigma_m_trace,
-            "m_grid": self.m_grid,
-        }
-        if self.cost_mode == "measured" and self.wall_seconds is not None:
-            doc["wall_seconds"] = self.wall_seconds
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(format_version=1, t_tot=self.t_tot)
+        if self.cost_mode != "measured" or self.wall_seconds is None:
+            del doc["wall_seconds"]
         return _jsonify(doc)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RunReport":
         if doc.get("format_version") != 1:
             raise ValueError("unsupported report document version")
-        fields = {k: v for k, v in doc.items() if k not in ("format_version", "t_tot")}
-        return cls(**fields)
+        return cls(
+            **{k: v for k, v in doc.items() if k not in ("format_version", "t_tot")}
+        )
 
 
 def _jsonify(obj):
@@ -409,6 +351,89 @@ def _m_grid(surrogate: TrainedSurrogate, box: ParamBox, resolution: int = 41):
     }
 
 
+def _oracle(exp: ExperimentConfig) -> FemSolveOracle:
+    """The experiment's problem (targets, family, mesh, cost policy), built once."""
+    cfg = exp.helmholtz_config()
+    return FemSolveOracle(
+        sample_parameter_set(exp),
+        exp.build_family(cfg),
+        build_annulus_mesh(cfg),
+        cfg,
+        exp.cost_policy(),
+    )
+
+
+def train(exp: ExperimentConfig) -> tuple[TrainedSurrogate, FemSolveOracle]:
+    """Train the iteration surrogate on the experiment's targets.
+
+    Returns the surrogate and the oracle that ran its solves; the oracle
+    keeps the reference preconditioner and the per-position solve log.
+    """
+    oracle = _oracle(exp)
+    family = oracle.family
+    prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
+    surrogate = train_surrogate_core(
+        oracle.points, oracle, prior, tol=oracle.cfg.tol, sp_window=exp.sp_window
+    )
+    return surrogate, oracle
+
+
+def place(
+    exp: ExperimentConfig, surrogate: TrainedSurrogate, remaining: ParamSet
+) -> PlacementPlan:
+    """Plan preconditioners for ``remaining``, with the mean one as fixed.
+
+    With nothing left to solve the plan holds the mean preconditioner only.
+    """
+    if len(remaining) == 0:
+        return PlacementPlan(
+            pc_locations=surrogate.ybar.reshape(1, -1),
+            fixed_mask=np.array([True]),
+            assignment=np.zeros(0, dtype=int),
+            point_indices=np.zeros(0, dtype=int),
+            assigned_m=np.zeros(0),
+            estimated_cost=0.0,
+        )
+    return plan_placement(
+        remaining,
+        surrogate.expected_iterations,
+        cost_ratio=surrogate.m_max,
+        pc_fixed=[surrogate.ybar],
+        seed=exp.seed,
+        mode=exp.cost_mode,
+        tau_krylov=surrogate.tau_krylov,
+        la_max_iter=exp.la_max_iter,
+        rel_improvement_floor=exp.rel_improvement_floor,
+        time_gain_kappa=exp.kappa,
+        n_restarts=exp.n_restarts,
+    )
+
+
+def _record(index, y, phase: str, pc, iterations, converged) -> dict:
+    """One solve of a report's ``per_point`` list."""
+    return {
+        "index": int(index),
+        "y": y.tolist(),
+        "phase": phase,
+        "pc": pc,
+        "iterations": iterations,
+        "converged": bool(converged),
+    }
+
+
+def _report(exp: ExperimentConfig, label: str, **values) -> RunReport:
+    """A report carrying the config's identifying fields."""
+    return RunReport(
+        label=label,
+        n_dims=exp.n_dims,
+        k0=exp.k0,
+        n_points=exp.n_points,
+        seed=exp.seed,
+        cost_mode=exp.cost_mode,
+        **values,
+    )
+
+
 def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, PlacementPlan]:
     """Train, place, execute; solve every target exactly once.
 
@@ -418,70 +443,31 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     mean-based one included) plus every iteration.
     """
     wall_start = time.perf_counter()
-    cfg = exp.helmholtz_config()
-    family = exp.build_family(cfg)
-    mesh = build_annulus_mesh(cfg)
-    targets = sample_parameter_set(exp)
-    policy = exp.cost_policy()
-
-    oracle = FemSolveOracle(targets, family, mesh, cfg, policy)
-    prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
-    surrogate = train_surrogate_core(
-        targets, oracle, prior, tol=cfg.tol, sp_window=exp.sp_window
-    )
+    surrogate, oracle = train(exp)
+    targets, policy = oracle.points, oracle.policy
+    family, mesh, cfg = oracle.family, oracle.mesh, oracle.cfg
     n_ratio = surrogate.m_max
-    t_train = (
-        surrogate.tau_pc + surrogate.tau_krylov * surrogate.train_iterations
-        if policy.mode == "synthetic"
-        else surrogate.train_wall_time
+    t_train = policy.stage_cost(
+        surrogate.tau_pc + surrogate.tau_krylov * surrogate.train_iterations,
+        surrogate.train_wall_time,
     )
 
     per_point: list[dict] = []
     index_to_position = {int(idx): k for k, idx in enumerate(targets.indices)}
-    train_iters = {}
     degraded = False
     for idx in surrogate.evaluated:
         pos = index_to_position[idx]
         iterations, converged = oracle.solve_log[pos]
-        train_iters[idx] = float(iterations)
         degraded = degraded or not converged
         per_point.append(
-            {
-                "index": int(idx),
-                "y": targets.points[pos].tolist(),
-                "phase": "train",
-                "pc": "mean",
-                "iterations": train_iters[idx],
-                "converged": bool(converged),
-            }
+            _record(idx, targets.points[pos], "train", "mean", float(iterations), converged)
         )
+    train_total = float(sum(r["iterations"] for r in per_point))
 
     remaining = targets.without_indices(surrogate.evaluated)
     la_start = time.perf_counter()
-    if len(remaining):
-        plan = plan_placement(
-            remaining,
-            surrogate.expected_iterations,
-            cost_ratio=surrogate.m_max,
-            pc_fixed=[surrogate.ybar],
-            seed=exp.seed,
-            mode=policy.mode,
-            tau_krylov=surrogate.tau_krylov,
-            la_max_iter=exp.la_max_iter,
-            rel_improvement_floor=exp.rel_improvement_floor,
-            time_gain_kappa=exp.kappa,
-            n_restarts=exp.n_restarts,
-        )
-    else:
-        plan = PlacementPlan(
-            pc_locations=surrogate.ybar.reshape(1, -1),
-            fixed_mask=np.array([True]),
-            assignment=np.zeros(0, dtype=int),
-            point_indices=np.zeros(0, dtype=int),
-            assigned_m=np.zeros(0),
-            estimated_cost=0.0,
-        )
-    t_l_al = 0.0 if policy.mode == "synthetic" else time.perf_counter() - la_start
+    plan = place(exp, surrogate, remaining)
+    t_l_al = policy.stage_cost(0.0, time.perf_counter() - la_start)
 
     # execution: build the planned preconditioners, solve every remaining
     # target with its assigned one
@@ -495,52 +481,33 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
             matrix, _ = assemble(plan.pc_locations[k], family, mesh, cfg)
             pc = lu_factor(matrix, source_param=plan.pc_locations[k])
             n_built += 1
-            t_exec += (
-                policy.c_build * pc.nnz if policy.mode == "synthetic" else pc.build_time
-            )
-        members = np.flatnonzero(plan.assignment == k)
-        for pos in members:
-            idx = int(plan.point_indices[pos])
+            t_exec += policy.build_cost(pc)
+        for pos in np.flatnonzero(plan.assignment == k):
             y = remaining.points[pos]
             matrix, rhs = assemble(y, family, mesh, cfg)
             report = gmres_left(pc, matrix, rhs, tol=cfg.tol, max_iter=cfg.max_iter)
             degraded = degraded or not report.converged
             exec_iters.append(report.iterations)
-            t_exec += (
-                policy.c_iter * oracle.reference_nnz * report.iterations
-                if policy.mode == "synthetic"
-                else report.krylov_time
-            )
+            t_exec += policy.solve_cost(pc, report)
             per_point.append(
-                {
-                    "index": idx,
-                    "y": y.tolist(),
-                    "phase": "exec",
-                    "pc": int(k),
-                    "iterations": int(report.iterations),
-                    "converged": bool(report.converged),
-                }
+                _record(
+                    plan.point_indices[pos], y, "exec", int(k),
+                    int(report.iterations), report.converged,
+                )
             )
 
-    total_iterations = float(sum(train_iters.values())) + float(sum(exec_iters))
-    cost_total = n_ratio * n_built + total_iterations
+    cost_total = n_ratio * n_built + (train_total + float(sum(exec_iters)))
 
     # baseline estimates: the per-point cost is exact by construction; the
     # mean-based cost uses measured counts where available and the
     # surrogate elsewhere
-    cost_per_point = exp.n_points * (n_ratio + 1.0)
-    est = float(sum(train_iters.values()))
+    est = train_total
     if len(remaining):
         est += float(np.sum(surrogate.iterations_at(remaining.points)))
-    cost_mean_based = n_ratio * 1 + est
 
-    report = RunReport(
-        label="pipeline",
-        n_dims=exp.n_dims,
-        k0=exp.k0,
-        n_points=exp.n_points,
-        seed=exp.seed,
-        cost_mode=policy.mode,
+    report = _report(
+        exp,
+        "pipeline",
         n_ratio=n_ratio,
         t_train=t_train,
         t_l_al=t_l_al,
@@ -548,8 +515,8 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         n_pc=n_built,
         it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
         cost_total=cost_total,
-        cost_mean_based=cost_mean_based,
-        cost_per_point=cost_per_point,
+        cost_mean_based=n_ratio * 1 + est,
+        cost_per_point=exp.n_points * (n_ratio + 1.0),
         cost_mean_based_estimated=True,
         degraded=degraded,
         m_max=surrogate.m_max,
@@ -569,12 +536,8 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
 def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     """One preconditioner at the box center, reused for every target."""
     wall_start = time.perf_counter()
-    cfg = exp.helmholtz_config()
-    family = exp.build_family(cfg)
-    mesh = build_annulus_mesh(cfg)
-    targets = sample_parameter_set(exp)
-    policy = exp.cost_policy()
-    oracle = FemSolveOracle(targets, family, mesh, cfg, policy)
+    oracle = _oracle(exp)
+    targets = oracle.points
     tau_pc = oracle.build_reference()
 
     iters, per_point = [], []
@@ -587,33 +550,20 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
         _, converged = oracle.solve_log[pos]
         degraded = degraded or not converged
         per_point.append(
-            {
-                "index": int(targets.indices[pos]),
-                "y": targets.points[pos].tolist(),
-                "phase": "exec",
-                "pc": "mean",
-                "iterations": int(m_i),
-                "converged": bool(converged),
-            }
+            _record(
+                targets.indices[pos], targets.points[pos], "exec", "mean",
+                int(m_i), converged,
+            )
         )
-    t_exec = tau_pc + tau_sum  # oracle taus are modeled or measured per mode
-    if policy.mode == "synthetic":
-        n_ratio = policy.cost_ratio
-    else:
-        n_ratio = tau_pc / (tau_sum / max(sum(iters), 1.0))
-
+    n_ratio = oracle.policy.n_ratio(tau_pc, 1, tau_sum, sum(iters))
     cost_total = n_ratio * 1 + float(sum(iters))
-    return RunReport(
-        label="mean_based",
-        n_dims=exp.n_dims,
-        k0=exp.k0,
-        n_points=exp.n_points,
-        seed=exp.seed,
-        cost_mode=policy.mode,
+    return _report(
+        exp,
+        "mean_based",
         n_ratio=n_ratio,
         t_train=0.0,
         t_l_al=0.0,
-        t_exec=t_exec,
+        t_exec=tau_pc + tau_sum,
         n_pc=1,
         it_av=float(np.mean(iters)),
         cost_total=cost_total,
@@ -630,53 +580,35 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
 def baseline_per_point(exp: ExperimentConfig) -> RunReport:
     """One preconditioner per target: every solve takes one iteration."""
     wall_start = time.perf_counter()
-    cfg = exp.helmholtz_config()
-    family = exp.build_family(cfg)
-    mesh = build_annulus_mesh(cfg)
-    targets = sample_parameter_set(exp)
-    policy = exp.cost_policy()
+    oracle = _oracle(exp)
+    targets, policy, cfg = oracle.points, oracle.policy, oracle.cfg
 
     iters, per_point = [], []
     degraded = False
-    t_exec = 0.0
-    build_times, solve_times = [], []
-    for pos in range(len(targets)):
-        y = targets.points[pos]
-        matrix, rhs = assemble(y, family, mesh, cfg)
+    t_exec = build_total = solve_total = 0.0
+    for pos, y in enumerate(targets.points):
+        matrix, rhs = assemble(y, oracle.family, oracle.mesh, cfg)
         pc = lu_factor(matrix, source_param=y)
         report = gmres_left(pc, matrix, rhs, tol=cfg.tol, max_iter=cfg.max_iter)
         degraded = degraded or not report.converged
         iters.append(report.iterations)
-        build_times.append(pc.build_time)
-        solve_times.append(report.krylov_time)
-        if policy.mode == "synthetic":
-            t_exec += policy.c_build * matrix.nnz
-            t_exec += policy.c_iter * matrix.nnz * report.iterations
+        build, solve = policy.build_cost(pc), policy.solve_cost(pc, report)
+        # one target at a time, build then solve: the order fixes the sum
+        t_exec += build
+        t_exec += solve
+        build_total += build
+        solve_total += solve
         per_point.append(
-            {
-                "index": int(targets.indices[pos]),
-                "y": y.tolist(),
-                "phase": "exec",
-                "pc": int(pos),
-                "iterations": int(report.iterations),
-                "converged": bool(report.converged),
-            }
+            _record(
+                targets.indices[pos], y, "exec", int(pos),
+                int(report.iterations), report.converged,
+            )
         )
-    if policy.mode == "synthetic":
-        n_ratio = policy.cost_ratio
-    else:
-        t_exec = sum(build_times) + sum(solve_times)
-        mean_iter_time = sum(solve_times) / max(sum(iters), 1.0)
-        n_ratio = float(np.mean(build_times)) / mean_iter_time
-
+    n_ratio = policy.n_ratio(build_total, len(targets), solve_total, sum(iters))
     cost_total = exp.n_points * n_ratio + exp.n_points * 1.0
-    return RunReport(
-        label="per_point",
-        n_dims=exp.n_dims,
-        k0=exp.k0,
-        n_points=exp.n_points,
-        seed=exp.seed,
-        cost_mode=policy.mode,
+    return _report(
+        exp,
+        "per_point",
         n_ratio=n_ratio,
         t_train=0.0,
         t_l_al=0.0,

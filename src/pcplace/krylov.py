@@ -5,7 +5,7 @@ with partial pivoting and a fill-reducing column ordering) wrapped as
 preconditioners, and a full, non-restarted left-preconditioned GMRES whose
 iteration count and preconditioned residual history are the quantities the
 rest of the package reasons about.  Iteration counts feed the surrogate;
-timings feed the cost model.
+``CostPolicy`` prices builds and solves from their nnz or their timings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -23,13 +22,10 @@ __all__ = [
     "BreakdownError",
     "LuPreconditioner",
     "SolveReport",
-    "CostModel",
     "CostPolicy",
     "lu_factor",
     "gmres_left",
     "contraction_factor",
-    "save_matrix_market",
-    "load_matrix_market",
 ]
 
 # Densification guard for the contraction-factor helper.
@@ -252,12 +248,12 @@ def contraction_factor(pc: LuPreconditioner, matrix) -> float:
 
 @dataclass(frozen=True)
 class CostPolicy:
-    """How solver costs are accounted during training and execution.
+    """How solver costs are priced during training and execution.
 
     ``synthetic`` prices a preconditioner build at ``c_build * nnz`` and a
-    Krylov iteration at ``c_iter * nnz`` of the reference matrix, giving
+    Krylov iteration at ``c_iter * nnz`` of the factored matrix, giving
     machine-independent, reproducible cost bookkeeping; ``measured`` uses
-    wall-clock seconds.
+    the wall-clock seconds the solver stack recorded.
     """
 
     mode: str = "synthetic"
@@ -270,56 +266,30 @@ class CostPolicy:
         if self.c_build <= 0 or self.c_iter <= 0:
             raise ValueError("cost constants must be positive")
 
-    @property
-    def cost_ratio(self) -> float:
-        return self.c_build / self.c_iter
+    def build_cost(self, pc: LuPreconditioner) -> float:
+        """Cost of building ``pc``."""
+        if self.mode == "synthetic":
+            return self.c_build * pc.nnz
+        return pc.build_time
 
+    def solve_cost(self, pc: LuPreconditioner, report: SolveReport) -> float:
+        """Cost of the GMRES solve ``report`` preconditioned by ``pc``."""
+        if self.mode == "synthetic":
+            return self.c_iter * pc.nnz * report.iterations
+        return report.krylov_time
 
-@dataclass(frozen=True)
-class CostModel:
-    """Build cost vs. per-iteration cost of the solver stack.
+    def stage_cost(self, modeled: float, wall: float) -> float:
+        """Cost of a whole stage: its modeled cost, or its wall time."""
+        return modeled if self.mode == "synthetic" else wall
 
-    ``synthetic`` mode replaces measured seconds with deterministic
-    formulas (both proportional to the matrix nnz) so experiment reports
-    are machine independent; ``measured`` carries wall-clock seconds.
-    """
+    def n_ratio(
+        self, build_total: float, n_builds: int, solve_total: float, iterations: float
+    ) -> float:
+        """Break-even iteration count: one build expressed in iterations.
 
-    tau_pc: float
-    tau_krylov: float
-    mode: str = "measured"
-
-    def __post_init__(self):
-        if self.tau_pc <= 0 or self.tau_krylov <= 0:
-            raise ValueError("both costs must be positive")
-        if self.mode not in ("measured", "synthetic"):
-            raise ValueError("mode must be 'measured' or 'synthetic'")
-
-    @property
-    def cost_ratio(self) -> float:
-        """Build time over iteration time: the break-even iteration count."""
-        return self.tau_pc / self.tau_krylov
-
-    @classmethod
-    def synthetic(cls, nnz: int, c_build: float, c_iter: float) -> "CostModel":
-        return cls(tau_pc=c_build * nnz, tau_krylov=c_iter * nnz, mode="synthetic")
-
-
-def save_matrix_market(path, matrix_or_vector) -> None:
-    """Write a sparse matrix or dense vector in Matrix Market format."""
-    obj = matrix_or_vector
-    if not sp.issparse(obj):
-        obj = np.asarray(obj)
-        if obj.ndim == 1:
-            obj = obj.reshape(-1, 1)
-    scipy.io.mmwrite(str(path), obj)
-
-
-def load_matrix_market(path):
-    """Read back a Matrix Market file; vectors come back 1-d."""
-    obj = scipy.io.mmread(str(path))
-    if sp.issparse(obj):
-        return obj.tocsr()
-    arr = np.asarray(obj)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        return arr.ravel()
-    return arr
+        Synthetic mode gives the configured ``c_build / c_iter``; measured
+        mode divides the mean build cost by the mean cost per iteration.
+        """
+        if self.mode == "synthetic":
+            return self.c_build / self.c_iter
+        return (build_total / n_builds) / (solve_total / max(iterations, 1))

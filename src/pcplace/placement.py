@@ -119,7 +119,11 @@ def allocate(points: np.ndarray, locations: np.ndarray, m) -> tuple[np.ndarray, 
     locations = np.atleast_2d(locations)
     if locations.shape[0] == 0:
         raise ValueError("cannot allocate against an empty preconditioner set")
-    table = _metric_table(np.atleast_2d(points), locations, m)
+    return _assign(_metric_table(np.atleast_2d(points), locations, m))
+
+
+def _assign(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise first argmin of a metric table and the m values it picks."""
     assignment = np.argmin(table, axis=1)
     return assignment, table[np.arange(table.shape[0]), assignment]
 
@@ -193,22 +197,19 @@ def locate(
     return candidates[best][1], improved
 
 
-def _prune(points, locations, fixed_mask, assignment, per_m, m, cost_ratio):
+def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
     """Drop chargeable preconditioners that do not pay for themselves.
 
     A preconditioner goes when its cell reassigns more cheaply than one
     build; each round drops the one whose removal lowers the cost most.
-    Locations do not move here, so the (n, k) metric table is built once
-    and a trial drop is an argmin over the kept columns in their original
-    order (ties break to the lowest kept index, as in ``allocate``).
-    Returns the kept locations, their fixed mask, the assignment into
-    them and the per-target m values.
+    Locations do not move here, so ``table`` is the (n, k) metric table
+    of the final allocation, and a trial drop is an argmin over the kept
+    columns in their original order (ties break to the lowest kept index,
+    as in ``allocate``).  Returns the kept column indices, the assignment
+    into them and the per-target m values.
     """
-    if locations.shape[0] < 2:
-        return locations, fixed_mask, assignment, per_m
-    table = _metric_table(points, locations, m)
-    rows = np.arange(points.shape[0])
-    kept = np.arange(locations.shape[0])
+    kept = np.arange(table.shape[1])
+    rows = np.arange(table.shape[0])
     while kept.size > 1:
         current = cost_ratio * int((~fixed_mask[kept]).sum()) + float(per_m.sum())
         best_cost, best_state = current, None
@@ -227,7 +228,7 @@ def _prune(points, locations, fixed_mask, assignment, per_m, m, cost_ratio):
         if best_state is None:
             break
         kept, assignment, per_m = best_state
-    return locations[kept], fixed_mask[kept], assignment, per_m
+    return kept, assignment, per_m
 
 
 def greedy_init(
@@ -321,7 +322,8 @@ def plan_placement(
     locations, fixed_mask, trace = greedy_init(points, m, cost_ratio, fixed_arr, box)
 
     m_floor = float(m(np.zeros((1, box.dims)))[0])
-    assignment, per_m = allocate(points, locations, m)
+    table = _metric_table(points, locations, m)
+    assignment, per_m = _assign(table)
     sigma_trace = [float(per_m.sum())]
     la_iters = 0
     for _ in range(la_max_iter):
@@ -355,7 +357,8 @@ def plan_placement(
             shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
             locations[k] = new_loc
 
-        assignment, per_m = allocate(points, locations, m)
+        table = _metric_table(points, locations, m)
+        assignment, per_m = _assign(table)
         la_iters += 1
         sigma_trace.append(float(per_m.sum()))
         gain = prev_total - float(per_m.sum())
@@ -374,9 +377,8 @@ def plan_placement(
             if gain < step_cost:
                 break
 
-    locations, fixed_mask, assignment, per_m = _prune(
-        points, locations, fixed_mask, assignment, per_m, m, cost_ratio
-    )
+    kept, assignment, per_m = _prune(table, fixed_mask, assignment, per_m, cost_ratio)
+    locations, fixed_mask = locations[kept], fixed_mask[kept]
 
     cost = cost_ratio * int((~fixed_mask).sum()) + float(per_m.sum())
     return PlacementPlan(

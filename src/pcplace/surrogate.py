@@ -42,10 +42,8 @@ __all__ = [
     "SpTracker",
     "TrainedSurrogate",
     "prior_mean",
-    "kernel_eval",
     "kernel_matrix",
     "fit_hyperparameters",
-    "train_surrogate",
     "train_surrogate_core",
 ]
 
@@ -151,11 +149,6 @@ def pair_kernel(d1, d2, length):
         * d2
         * (np.exp(-np.abs(d1 - d2) / length) - np.exp(-np.abs(d1 + d2) / length))
     )
-
-
-def kernel_eval(d1: float, d2: float, dim: int, profile: AnisotropyProfile) -> float:
-    """Single-dimension kernel value using the profile's correlation length."""
-    return float(pair_kernel(d1, d2, profile.corr_lengths[dim]))
 
 
 def kernel_matrix(
@@ -579,7 +572,12 @@ def train_surrogate_core(
 
 
 class FemSolveOracle:
-    """Solve oracle backed by the finite-element problem families."""
+    """Solve oracle backed by the finite-element problem families.
+
+    It carries one experiment's problem: the target set, the family, its
+    mesh and solver config, and the cost policy that prices each build and
+    solve.  ``solve_log`` records (iterations, converged) per position.
+    """
 
     def __init__(self, points: ParamSet, family, mesh, cfg, cost_policy):
         from . import helmholtz  # local import keeps module layering flat
@@ -591,17 +589,13 @@ class FemSolveOracle:
         self.cfg = cfg
         self.policy = cost_policy
         self.reference_pc = None
-        self.reference_nnz = 0
         self.solve_log: dict[int, tuple[int, bool]] = {}
 
     def build_reference(self) -> float:
         ybar = self.points.box.center
         matrix, _ = self._assemble(ybar, self.family, self.mesh, self.cfg)
         self.reference_pc = lu_factor(matrix, source_param=ybar)
-        self.reference_nnz = self.reference_pc.nnz
-        if self.policy.mode == "synthetic":
-            return self.policy.c_build * self.reference_nnz
-        return self.reference_pc.build_time
+        return self.policy.build_cost(self.reference_pc)
 
     def solve(self, position: int):
         y = self.points.points[position]
@@ -610,19 +604,5 @@ class FemSolveOracle:
             self.reference_pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter
         )
         self.solve_log[position] = (report.iterations, report.converged)
-        if self.policy.mode == "synthetic":
-            tau = self.policy.c_iter * self.reference_nnz * report.iterations
-        else:
-            tau = report.krylov_time
+        tau = self.policy.solve_cost(self.reference_pc, report)
         return report.iterations, tau, report.solution
-
-
-def train_surrogate(
-    points: ParamSet, family, mesh, cfg, cost_policy, sp_window: int = 5
-) -> TrainedSurrogate:
-    """Train the iteration surrogate on the FEM family (active learning)."""
-    oracle = FemSolveOracle(points, family, mesh, cfg, cost_policy)
-    prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
-    return train_surrogate_core(
-        points, oracle, prior, tol=cfg.tol, sp_window=sp_window
-    )

@@ -87,11 +87,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             bad.build_family(bad.helmholtz_config())
 
-    def test_roundtrip(self):
-        exp = small_affine_config()
-        again = ExperimentConfig.from_dict(exp.to_dict())
-        assert again == exp
-
 
 class TestSampling:
     def test_seed_reproducibility(self):

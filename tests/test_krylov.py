@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose
 
 from pcplace.krylov import (
     BreakdownError,
-    CostModel,
+    CostPolicy,
+    LuPreconditioner,
     SingularMatrixError,
+    SolveReport,
     contraction_factor,
     gmres_left,
-    load_matrix_market,
     lu_factor,
-    save_matrix_market,
 )
 from pcplace.surrogate import IterationMap
 
@@ -246,33 +246,52 @@ class TestElmanBound:
             assert rep.iterations <= bound
 
 
-class TestCostModel:
-    def test_ratio(self):
-        cm = CostModel(tau_pc=75.0, tau_krylov=0.75)
-        assert_allclose(cm.cost_ratio, 100.0)
+def priced_pc():
+    return LuPreconditioner(
+        factors=None, source_param=None, build_time=0.028, n=6_300, nnz=41_850
+    )
 
-    def test_synthetic_ratio_independent_of_nnz(self):
-        a = CostModel.synthetic(1000, 1e-4, 1e-6)
-        b = CostModel.synthetic(77, 1e-4, 1e-6)
-        assert_allclose(a.cost_ratio, b.cost_ratio)
-        assert a.mode == "synthetic"
 
-    def test_positive_required(self):
+def priced_solve():
+    return SolveReport(
+        solution=np.zeros(1, dtype=complex),
+        iterations=15,
+        converged=True,
+        residual_history=[1.0] * 16,
+        krylov_time=0.0125,
+    )
+
+
+class TestCostPolicy:
+    SYNTHETIC = CostPolicy("synthetic", c_build=1e-5, c_iter=1e-6)
+    MEASURED = CostPolicy("measured", c_build=1e-5, c_iter=1e-6)
+
+    def test_synthetic_prices_by_nnz(self):
+        pc, rep = priced_pc(), priced_solve()
+        p = self.SYNTHETIC
+        # bit for bit, multiplied left to right: at 15 iterations
+        # c_iter * (nnz * 15) rounds differently
+        assert p.build_cost(pc) == 1e-5 * 41_850
+        assert p.solve_cost(pc, rep) == 1e-6 * 41_850 * 15
+        assert p.stage_cost(3.5, 99.0) == 3.5
+        assert p.n_ratio(1.0, 4, 2.0, 30) == 1e-5 / 1e-6
+
+    def test_measured_returns_timings(self):
+        pc, rep = priced_pc(), priced_solve()
+        p = self.MEASURED
+        assert p.build_cost(pc) == 0.028
+        assert p.solve_cost(pc, rep) == 0.0125
+        assert p.stage_cost(3.5, 99.0) == 99.0
+        # mean build cost over mean cost per iteration
+        assert_allclose(p.n_ratio(0.12, 4, 0.6, 30), (0.12 / 4) / (0.6 / 30))
+
+    def test_measured_ratio_guarded_at_zero_iterations(self):
+        assert self.MEASURED.n_ratio(0.12, 4, 0.6, 0) == (0.12 / 4) / 0.6
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mode": "wallclock"}, {"c_build": 0.0}, {"c_iter": -1e-6}],
+    )
+    def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
-            CostModel(tau_pc=0.0, tau_krylov=1.0)
-
-
-class TestMatrixMarket:
-    def test_matrix_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        a = random_sparse_complex(rng, 9)
-        path = tmp_path / "a.mtx"
-        save_matrix_market(path, a)
-        back = load_matrix_market(path)
-        assert_allclose(back.toarray(), a.toarray(), atol=1e-14)
-
-    def test_vector_roundtrip(self, tmp_path):
-        v = np.array([1.0 + 2.0j, -3.0, 0.5j])
-        path = tmp_path / "v.mtx"
-        save_matrix_market(path, v)
-        assert_allclose(load_matrix_market(path), v, atol=1e-14)
+            CostPolicy(**kwargs)

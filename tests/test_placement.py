@@ -261,13 +261,41 @@ class TestPrune:
         fixed_mask = np.zeros(12, dtype=bool)
         fixed_mask[:2] = True
         m = floored_scaled_m(6.0)
+        table = placement._metric_table(points, locations, m)
         assignment, per_m = allocate(points, locations, m)
-        args = (points, locations, fixed_mask, assignment, per_m, m, 4.0)
-        got = _prune(*args)
-        want = self.allocate_pruning(*args)
+        kept, got_assignment, got_m = _prune(table, fixed_mask, assignment, per_m, 4.0)
+        got = (locations[kept], fixed_mask[kept], got_assignment, got_m)
+        want = self.allocate_pruning(
+            points, locations, fixed_mask, assignment, per_m, m, 4.0
+        )
         assert 1 < want[0].shape[0] < 12 and np.any(want[2] == 0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    def test_reuses_final_allocation_table(self, monkeypatch):
+        calls = []
+
+        def recording_m(deltas):
+            calls.append(len(deltas))
+            return floored_scaled_m(6.0)(deltas)
+
+        seen = {}
+        real_prune = placement._prune
+
+        def watched_prune(table, *args):
+            before = len(calls)
+            out = real_prune(table, *args)
+            seen.update(table=table, kept=out[0], m_calls=len(calls) - before)
+            return out
+
+        monkeypatch.setattr(placement, "_prune", watched_prune)
+        rng = np.random.default_rng(3)
+        targets = make_set(rng.uniform(-1, 1, size=(40, 2)))
+        plan = plan_placement(targets, recording_m, cost_ratio=4.0, seed=0)
+        assert seen["m_calls"] == 0
+        # the table handed over is that of the final locations
+        fresh = placement._metric_table(targets.points, plan.pc_locations, recording_m)
+        assert np.array_equal(seen["table"][:, seen["kept"]], fresh)
 
 
 class TestGreedyInit:

@@ -16,7 +16,6 @@ from pcplace.surrogate import (
     SurrogatePrior,
     TrainedSurrogate,
     fit_hyperparameters,
-    kernel_eval,
     kernel_matrix,
     pair_kernel,
     prior_mean,
@@ -115,8 +114,10 @@ class TestKernel:
         prior = make_prior(2, b_diag=[1.0, 0.25], d_diag=[0.0, 0.0])
         # second dimension has a doubled correlation length
         assert_allclose(prior.profile.corr_lengths, [2.0, 4.0])
-        v = kernel_eval(0.3, -0.4, 1, prior.profile)
-        assert_allclose(v, pair_kernel(0.3, -0.4, 4.0))
+        # the pair kernel vanishes at a zero coordinate, so only the
+        # second dimension contributes
+        v = kernel_matrix([[0.0, 0.3]], [[0.0, -0.4]], prior.profile.corr_lengths)
+        assert_allclose(v, [[pair_kernel(0.3, -0.4, 4.0)]])
 
     def test_matrix_sums_dimensions(self):
         rng = np.random.default_rng(2)
