@@ -516,7 +516,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
         cost_total=cost_total,
         cost_mean_based=n_ratio * 1 + est,
-        cost_per_point=exp.n_points * (n_ratio + 1.0),
+        cost_per_point=len(targets) * (n_ratio + 1.0),
         cost_mean_based_estimated=True,
         degraded=degraded,
         m_max=surrogate.m_max,
@@ -568,7 +568,7 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
         it_av=float(np.mean(iters)),
         cost_total=cost_total,
         cost_mean_based=cost_total,
-        cost_per_point=exp.n_points * (n_ratio + 1.0),
+        cost_per_point=len(targets) * (n_ratio + 1.0),
         degraded=degraded,
         per_point=per_point,
         pc_locations=[targets.box.center.tolist()],
@@ -605,7 +605,7 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
             )
         )
     n_ratio = policy.n_ratio(build_total, len(targets), solve_total, sum(iters))
-    cost_total = exp.n_points * n_ratio + exp.n_points * 1.0
+    cost_total = len(targets) * n_ratio + len(targets) * 1.0
     return _report(
         exp,
         "per_point",
@@ -613,7 +613,7 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
         t_train=0.0,
         t_l_al=0.0,
         t_exec=t_exec,
-        n_pc=exp.n_points,
+        n_pc=len(targets),
         it_av=float(np.mean(iters)),
         cost_total=cost_total,
         cost_mean_based=None,
@@ -621,7 +621,7 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
         degraded=degraded,
         per_point=per_point,
         pc_locations=targets.points.tolist(),
-        pc_fixed_mask=[False] * exp.n_points,
+        pc_fixed_mask=[False] * len(targets),
         wall_seconds=time.perf_counter() - wall_start,
     )
 

@@ -307,6 +307,23 @@ class TestBaselines:
         assert_allclose(r6.cost_total, 6 * (r6.n_ratio + 1.0))
         assert_allclose(r12.cost_total, 2 * r6.cost_total)
 
+    @pytest.mark.parametrize(
+        "strategy", [run_pipeline, baseline_mean_based, baseline_per_point]
+    )
+    def test_costs_count_realized_targets(self, strategy):
+        # a 2-dim grid of 20 requested points realizes 4 x 4 = 16 targets
+        exp = small_affine_config(n_points=20, sampling="grid")
+        report = strategy(exp)
+        if isinstance(report, tuple):
+            report = report[0]
+        assert len(report.per_point) == 16
+        assert len(report.pc_fixed_mask) == len(report.pc_locations)
+        assert report.cost_per_point == 16 * (report.n_ratio + 1.0)
+        iterations = sum(r["iterations"] for r in report.per_point)
+        assert report.cost_total == pytest.approx(
+            report.n_ratio * report.n_pc + iterations, rel=1e-12
+        )
+
 
 class TestReports:
     def _report(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from pcplace.krylov import (
@@ -9,6 +10,7 @@ from pcplace.krylov import (
     LuPreconditioner,
     SingularMatrixError,
     SolveReport,
+    as_complex_csr,
     contraction_factor,
     gmres_left,
     lu_factor,
@@ -59,6 +61,41 @@ class TestLuFactor:
         pc = lu_factor(sp.eye(4, format="csr"), source_param=np.array([0.5]))
         assert pc.build_time >= 0.0
         assert_allclose(pc.source_param, [0.5])
+
+    def test_non_finite_pivot_raises(self):
+        a = sp.csr_matrix(np.array([[np.inf, 1.0], [1.0, 1.0]], dtype=complex))
+        with pytest.raises(SingularMatrixError, match="non-finite pivot"):
+            lu_factor(a)
+
+    def test_zero_diagonal_pivots_off_diagonal(self):
+        # symmetric mode prefers diagonal pivots; a zero one must be refused
+        rng = np.random.default_rng(10)
+        a = random_sparse_complex(rng, 40).tolil()
+        a.setdiag(0.0)
+        a = a.tocsr()
+        a.eliminate_zeros()
+        assert not np.any(a.diagonal())
+        pc = lu_factor(a)
+        b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        assert np.linalg.norm(a @ pc.apply(b) - b) / np.linalg.norm(b) <= 1e-12
+
+    def test_fill_below_colamd_on_desk_mesh(self):
+        from pcplace.helmholtz import (
+            HelmholtzConfig,
+            assemble,
+            build_annulus_mesh,
+            max_safe_amplitude,
+            shape_family,
+        )
+
+        cfg = HelmholtzConfig(k0=20.0)
+        mesh = build_annulus_mesh(cfg)
+        family = shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg)
+        a, _ = assemble(np.zeros(2), family, mesh, cfg)
+        colamd = spla.splu(a.tocsc())
+        factors = lu_factor(a).factors
+        fill = factors.L.nnz + factors.U.nnz
+        assert fill < colamd.L.nnz + colamd.U.nnz
 
 
 class TestGmresLeft:
@@ -176,6 +213,8 @@ class TestGmresLeft:
                 out[0] = vec[1]
                 return out
 
+            apply_rhs = apply
+
         a = sp.eye(2, format="csr")
         b = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(BreakdownError):
@@ -192,6 +231,70 @@ class TestGmresLeft:
         )
         assert pre_rel <= 1e-5
         assert rep.true_relative_residual <= 1e-4
+
+
+class CountingFactors:
+    """SuperLU factors that count their solves."""
+
+    def __init__(self, factors):
+        self.factors, self.solves = factors, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.factors.solve(rhs)
+
+
+class TestRhsReuse:
+    def test_shared_pc_matches_fresh_pc_bitwise(self):
+        rng = np.random.default_rng(11)
+        a0 = random_sparse_complex(rng, 30)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        shared = lu_factor(a0)
+        for _ in range(4):
+            a = a0 + 0.2 * random_sparse_complex(rng, 30)
+            got = gmres_left(shared, a, b.copy(), tol=1e-8)
+            want = gmres_left(lu_factor(a0), a, b.copy(), tol=1e-8)
+            assert np.array_equal(got.solution, want.solution)
+            assert got.residual_history == want.residual_history
+            assert got.iterations == want.iterations
+            assert got.true_relative_residual == want.true_relative_residual
+
+    def test_one_rhs_solve_per_preconditioner(self):
+        rng = np.random.default_rng(12)
+        a0 = random_sparse_complex(rng, 30)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        b[0] = 0.0
+        pc = lu_factor(a0)
+        pc.factors = counter = CountingFactors(pc.factors)
+        iterations = 0
+        for _ in range(3):
+            a = a0 + 0.2 * random_sparse_complex(rng, 30)
+            iterations += gmres_left(pc, a, b.copy(), tol=1e-8).iterations
+        assert counter.solves == iterations + 1
+        # -0.0 equals 0.0 but is another right-hand side bit for bit
+        signed = b.copy()
+        signed[0] = -0.0
+        iterations += gmres_left(pc, a0, signed, tol=1e-8).iterations
+        assert counter.solves == iterations + 2
+        assert not pc.apply_rhs(signed).flags.writeable
+
+    def test_as_complex_csr_copies_only_when_needed(self):
+        canonical = sp.csr_matrix(np.eye(3, dtype=complex))
+        assert as_complex_csr(canonical) is canonical
+
+        real = sp.csr_matrix(np.eye(3))
+        out = as_complex_csr(real)
+        assert out is not real and out.dtype == np.complex128
+        assert real.dtype == np.float64
+
+        # unsorted column indices with a duplicate entry in row 0
+        data, indices, indptr = np.array([1.0, 2.0, 3.0 + 0j]), [1, 0, 1], [0, 3, 3]
+        raw = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+        out = as_complex_csr(raw)
+        assert out is not raw and out.has_canonical_format
+        assert_allclose(out.toarray(), [[2.0, 4.0], [0.0, 0.0]])
+        assert raw.indices.tolist() == indices and raw.data.tolist() == data.tolist()
+        assert raw.indptr.tolist() == indptr
 
 
 class TestContractionFactor:
