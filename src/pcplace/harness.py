@@ -13,14 +13,18 @@ across machines and runs with the same seed.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import jsonschema
 import numpy as np
 
-from .helmholtz import (
+# assemble, lu_factor and gmres_left are unused here but stay importable:
+# the traced benchmark (bench/spans.py) wraps them at this module too
+from .helmholtz import (  # noqa: F401
     HelmholtzConfig,
     ProblemFamily,
     affine_family,
@@ -28,7 +32,7 @@ from .helmholtz import (
     build_annulus_mesh,
     shape_family,
 )
-from .krylov import CostPolicy, gmres_left, lu_factor
+from .krylov import CostPolicy, gmres_left, lu_factor  # noqa: F401
 from .param_space import ParamBox, ParamSet
 from .placement import PlacementPlan, plan_placement
 from .surrogate import (
@@ -409,20 +413,52 @@ def place(
     )
 
 
-def _record(index, y, phase: str, pc, iterations, converged) -> dict:
-    """One solve of a report's ``per_point`` list."""
-    return {
-        "index": int(index),
-        "y": y.tolist(),
-        "phase": phase,
-        "pc": pc,
-        "iterations": iterations,
-        "converged": bool(converged),
-    }
+def _running_total(costs) -> float:
+    """Left-to-right float sum, as a running total adds.
+
+    From Python 3.12 ``sum`` compensates float rounding, which would move
+    reported costs in their last bits.
+    """
+    return functools.reduce(operator.add, costs, 0.0)
 
 
-def _report(exp: ExperimentConfig, label: str, **values) -> RunReport:
-    """A report carrying the config's identifying fields."""
+def _realized_ratio(oracle: FemSolveOracle) -> float:
+    """Break-even iteration count realized over every build and solve logged."""
+    builds = [r.cost for r in oracle.log if r.position is None]
+    solves = [r for r in oracle.log if r.position is not None]
+    return oracle.policy.n_ratio(
+        _running_total(builds),
+        len(builds),
+        _running_total(r.cost for r in solves),
+        sum(r.iterations for r in solves),
+    )
+
+
+def _report(
+    exp: ExperimentConfig, label: str, oracle: FemSolveOracle, n_train: int, n_ratio: float,
+    **values,
+) -> RunReport:
+    """A strategy's report, with its solves and costs read off the oracle's log.
+
+    The first ``n_train`` log records are surrogate training, the rest are
+    execution.  Every build in the log costs ``n_ratio`` iterations and
+    every solve the iterations it took.
+    """
+    targets, log = oracle.points, oracle.log
+    solves = [(k, r) for k, r in enumerate(log) if r.position is not None]
+    per_point = [
+        {
+            "index": int(targets.indices[r.position]),
+            "y": targets.points[r.position].tolist(),
+            "phase": "train" if k < n_train else "exec",
+            "pc": r.pc,
+            "iterations": float(r.iterations) if k < n_train else int(r.iterations),
+            "converged": bool(r.converged),
+        }
+        for k, r in solves
+    ]
+    exec_iters = [r.iterations for k, r in solves if k >= n_train]
+    n_pc = len(log) - len(solves)
     return RunReport(
         label=label,
         n_dims=exp.n_dims,
@@ -430,6 +466,12 @@ def _report(exp: ExperimentConfig, label: str, **values) -> RunReport:
         n_points=exp.n_points,
         seed=exp.seed,
         cost_mode=exp.cost_mode,
+        n_ratio=n_ratio,
+        n_pc=n_pc,
+        it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
+        cost_total=n_ratio * n_pc + float(sum(r.iterations for _, r in solves)),
+        degraded=not all(r.converged for _, r in solves),
+        per_point=sorted(per_point, key=lambda rec: rec["index"]),
         **values,
     )
 
@@ -445,24 +487,12 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     wall_start = time.perf_counter()
     surrogate, oracle = train(exp)
     targets, policy = oracle.points, oracle.policy
-    family, mesh, cfg = oracle.family, oracle.mesh, oracle.cfg
+    n_train = len(oracle.log)
     n_ratio = surrogate.m_max
     t_train = policy.stage_cost(
         surrogate.tau_pc + surrogate.tau_krylov * surrogate.train_iterations,
         surrogate.train_wall_time,
     )
-
-    per_point: list[dict] = []
-    index_to_position = {int(idx): k for k, idx in enumerate(targets.indices)}
-    degraded = False
-    for idx in surrogate.evaluated:
-        pos = index_to_position[idx]
-        iterations, converged = oracle.solve_log[pos]
-        degraded = degraded or not converged
-        per_point.append(
-            _record(idx, targets.points[pos], "train", "mean", float(iterations), converged)
-        )
-    train_total = float(sum(r["iterations"] for r in per_point))
 
     remaining = targets.without_indices(surrogate.evaluated)
     la_start = time.perf_counter()
@@ -471,56 +501,31 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
 
     # execution: build the planned preconditioners, solve every remaining
     # target with its assigned one
-    exec_iters: list[float] = []
-    t_exec = 0.0  # excludes assembly in both modes
-    n_built = 1  # the mean-based preconditioner from training
+    index_to_position = {int(idx): pos for pos, idx in enumerate(targets.indices)}
     for k in range(plan.n_pc):
         if plan.fixed_mask[k]:
             pc = oracle.reference_pc
         else:
-            matrix, _ = assemble(plan.pc_locations[k], family, mesh, cfg)
-            pc = lu_factor(matrix, source_param=plan.pc_locations[k])
-            n_built += 1
-            t_exec += policy.build_cost(pc)
+            pc = oracle.build(plan.pc_locations[k])
         for pos in np.flatnonzero(plan.assignment == k):
-            y = remaining.points[pos]
-            matrix, rhs = assemble(y, family, mesh, cfg)
-            report = gmres_left(pc, matrix, rhs, tol=cfg.tol, max_iter=cfg.max_iter)
-            degraded = degraded or not report.converged
-            exec_iters.append(report.iterations)
-            t_exec += policy.solve_cost(pc, report)
-            per_point.append(
-                _record(
-                    plan.point_indices[pos], y, "exec", int(k),
-                    int(report.iterations), report.converged,
-                )
-            )
+            oracle.run(index_to_position[int(plan.point_indices[pos])], pc, int(k))
 
-    cost_total = n_ratio * n_built + (train_total + float(sum(exec_iters)))
-
-    # baseline estimates: the per-point cost is exact by construction; the
-    # mean-based cost uses measured counts where available and the
-    # surrogate elsewhere
-    est = train_total
+    # baseline estimates: the per-point cost assumes one iteration per
+    # target (exact LU); the mean-based cost uses measured counts where
+    # available and the surrogate elsewhere
+    est = surrogate.train_iterations
     if len(remaining):
         est += float(np.sum(surrogate.iterations_at(remaining.points)))
 
     report = _report(
-        exp,
-        "pipeline",
-        n_ratio=n_ratio,
+        exp, "pipeline", oracle, n_train, n_ratio,
         t_train=t_train,
         t_l_al=t_l_al,
-        t_exec=t_exec,
-        n_pc=n_built,
-        it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
-        cost_total=cost_total,
+        t_exec=_running_total(r.cost for r in oracle.log[n_train:]),
         cost_mean_based=n_ratio * 1 + est,
         cost_per_point=len(targets) * (n_ratio + 1.0),
         cost_mean_based_estimated=True,
-        degraded=degraded,
         m_max=surrogate.m_max,
-        per_point=sorted(per_point, key=lambda r: r["index"]),
         pc_locations=plan.pc_locations.tolist(),
         pc_fixed_mask=plan.fixed_mask.tolist(),
         disagree_trace=list(surrogate.sp_history),
@@ -538,92 +543,46 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     wall_start = time.perf_counter()
     oracle = _oracle(exp)
     targets = oracle.points
-    tau_pc = oracle.build_reference()
-
-    iters, per_point = [], []
-    degraded = False
-    tau_sum = 0.0
+    pc = oracle.build(targets.box.center)
     for pos in range(len(targets)):
-        m_i, tau_i, _ = oracle.solve(pos)
-        tau_sum += tau_i
-        iters.append(m_i)
-        _, converged = oracle.solve_log[pos]
-        degraded = degraded or not converged
-        per_point.append(
-            _record(
-                targets.indices[pos], targets.points[pos], "exec", "mean",
-                int(m_i), converged,
-            )
-        )
-    n_ratio = oracle.policy.n_ratio(tau_pc, 1, tau_sum, sum(iters))
-    cost_total = n_ratio * 1 + float(sum(iters))
-    return _report(
-        exp,
-        "mean_based",
-        n_ratio=n_ratio,
+        oracle.run(pos, pc, "mean")
+
+    n_ratio = _realized_ratio(oracle)
+    build, *solves = oracle.log
+    report = _report(
+        exp, "mean_based", oracle, 0, n_ratio,
         t_train=0.0,
         t_l_al=0.0,
-        t_exec=tau_pc + tau_sum,
-        n_pc=1,
-        it_av=float(np.mean(iters)),
-        cost_total=cost_total,
-        cost_mean_based=cost_total,
+        t_exec=build.cost + _running_total(r.cost for r in solves),
         cost_per_point=len(targets) * (n_ratio + 1.0),
-        degraded=degraded,
-        per_point=per_point,
         pc_locations=[targets.box.center.tolist()],
         pc_fixed_mask=[True],
         wall_seconds=time.perf_counter() - wall_start,
     )
+    report.cost_mean_based = report.cost_total
+    return report
 
 
 def baseline_per_point(exp: ExperimentConfig) -> RunReport:
-    """One preconditioner per target: every solve takes one iteration."""
+    """One preconditioner per target, built at the target itself."""
     wall_start = time.perf_counter()
     oracle = _oracle(exp)
-    targets, policy, cfg = oracle.points, oracle.policy, oracle.cfg
-
-    iters, per_point = [], []
-    degraded = False
-    t_exec = build_total = solve_total = 0.0
+    targets = oracle.points
+    # one target at a time, build then solve: the order fixes t_exec's sum
     for pos, y in enumerate(targets.points):
-        matrix, rhs = assemble(y, oracle.family, oracle.mesh, cfg)
-        pc = lu_factor(matrix, source_param=y)
-        report = gmres_left(pc, matrix, rhs, tol=cfg.tol, max_iter=cfg.max_iter)
-        degraded = degraded or not report.converged
-        iters.append(report.iterations)
-        build, solve = policy.build_cost(pc), policy.solve_cost(pc, report)
-        # one target at a time, build then solve: the order fixes the sum
-        t_exec += build
-        t_exec += solve
-        build_total += build
-        solve_total += solve
-        per_point.append(
-            _record(
-                targets.indices[pos], y, "exec", int(pos),
-                int(report.iterations), report.converged,
-            )
-        )
-    n_ratio = policy.n_ratio(build_total, len(targets), solve_total, sum(iters))
-    cost_total = len(targets) * n_ratio + len(targets) * 1.0
-    return _report(
-        exp,
-        "per_point",
-        n_ratio=n_ratio,
+        oracle.run(pos, oracle.build(y), pos)
+
+    report = _report(
+        exp, "per_point", oracle, 0, _realized_ratio(oracle),
         t_train=0.0,
         t_l_al=0.0,
-        t_exec=t_exec,
-        n_pc=len(targets),
-        it_av=float(np.mean(iters)),
-        cost_total=cost_total,
-        cost_mean_based=None,
-        cost_per_point=cost_total,
-        degraded=degraded,
-        per_point=per_point,
+        t_exec=_running_total(r.cost for r in oracle.log),
         pc_locations=targets.points.tolist(),
         pc_fixed_mask=[False] * len(targets),
         wall_seconds=time.perf_counter() - wall_start,
     )
+    report.cost_per_point = report.cost_total
+    return report
 
 
 def emit_report(report: RunReport, fmt: str, path) -> None:

@@ -22,10 +22,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
+from . import helmholtz
 from .krylov import gmres_left, lu_factor
 from .param_space import (
     AnisotropyProfile,
@@ -474,7 +476,6 @@ def train_surrogate_core(
     prior: SurrogatePrior,
     tol: float = 1e-5,
     sp_window: int = 5,
-    max_evaluations: int | None = None,
 ) -> TrainedSurrogate:
     """Active-learning loop against an abstract solve oracle.
 
@@ -527,10 +528,9 @@ def train_surrogate_core(
     trace: list[tuple[int, float, float]] = []
 
     budget_exhausted = False
-    cap = len(points) if max_evaluations is None else min(max_evaluations, len(points))
     while True:
         remaining = np.setdiff1d(np.arange(len(points)), evaluated_pos)
-        if remaining.size == 0 or len(evaluated_pos) >= cap:
+        if remaining.size == 0:
             budget_exhausted = True
             break
         m_max = tau_pc / (tau_tot / m_tot)
@@ -571,38 +571,58 @@ def train_surrogate_core(
     return surrogate
 
 
-class FemSolveOracle:
-    """Solve oracle backed by the finite-element problem families.
+class LogRecord(NamedTuple):
+    """One preconditioner build or GMRES solve in a ``FemSolveOracle`` log."""
 
-    It carries one experiment's problem: the target set, the family, its
+    position: int | None  # row of the target set solved; None for a build
+    pc: object  # the solve's per-point preconditioner label; None for a build
+    iterations: int
+    converged: bool
+    cost: float  # priced by the oracle's cost policy
+
+
+class FemSolveOracle:
+    """Every preconditioner build and GMRES solve of one experiment.
+
+    It carries the experiment's problem: the target set, the family, its
     mesh and solver config, and the cost policy that prices each build and
-    solve.  ``solve_log`` records (iterations, converged) per position.
+    solve.  ``build`` factors the operator at a parameter point and ``run``
+    solves one target with a given preconditioner; each call appends one
+    ``LogRecord`` to ``log``, in call order.  ``build_reference`` and
+    ``solve`` are the training oracle on top of them.
     """
 
     def __init__(self, points: ParamSet, family, mesh, cfg, cost_policy):
-        from . import helmholtz  # local import keeps module layering flat
-
-        self._assemble = helmholtz.assemble
         self.points = points
         self.family = family
         self.mesh = mesh
         self.cfg = cfg
         self.policy = cost_policy
         self.reference_pc = None
-        self.solve_log: dict[int, tuple[int, bool]] = {}
+        self.log: list[LogRecord] = []
+
+    def build(self, y):
+        """Factor the operator at ``y`` into a preconditioner."""
+        matrix, _ = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
+        pc = lu_factor(matrix, source_param=y)
+        self.log.append(LogRecord(None, None, 0, True, self.policy.build_cost(pc)))
+        return pc
+
+    def run(self, position: int, pc, label):
+        """Solve the target at ``position`` with ``pc``, logged under ``label``."""
+        y = self.points.points[position]
+        matrix, rhs = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
+        report = gmres_left(pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter)
+        cost = self.policy.solve_cost(pc, report)
+        self.log.append(LogRecord(position, label, report.iterations, report.converged, cost))
+        return report
 
     def build_reference(self) -> float:
-        ybar = self.points.box.center
-        matrix, _ = self._assemble(ybar, self.family, self.mesh, self.cfg)
-        self.reference_pc = lu_factor(matrix, source_param=ybar)
-        return self.policy.build_cost(self.reference_pc)
+        """Build the training preconditioner at the box center; return its cost."""
+        self.reference_pc = self.build(self.points.box.center)
+        return self.log[-1].cost
 
     def solve(self, position: int):
-        y = self.points.points[position]
-        matrix, rhs = self._assemble(y, self.family, self.mesh, self.cfg)
-        report = gmres_left(
-            self.reference_pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter
-        )
-        self.solve_log[position] = (report.iterations, report.converged)
-        tau = self.policy.solve_cost(self.reference_pc, report)
-        return report.iterations, tau, report.solution
+        """Training solve with the reference preconditioner."""
+        report = self.run(position, self.reference_pc, "mean")
+        return report.iterations, self.log[-1].cost, report.solution

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,5 +61,20 @@ def test_demo_imports_resolve(demo):
         and (node.module or "").split(".")[0] == "pcplace"
         for alias in node.names
         if not hasattr(importlib.import_module(node.module), alias.name)
+    ]
+    assert not missing
+
+
+def test_traced_benchmark_sites_resolve(monkeypatch):
+    # the traced benchmark wraps each site through ``owner.__dict__[attr]``,
+    # so a name must stay defined or imported at exactly that owner
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for _, owner, attr, _ in spans._SITES
+        if attr not in owner.__dict__
     ]
     assert not missing

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from pcplace import harness, krylov, surrogate
 from pcplace.cli import main as cli_main
 from pcplace.harness import (
     CSV_HEADER,
@@ -29,6 +31,32 @@ def small_affine_config(**overrides):
     }
     doc.update(overrides)
     return ExperimentConfig.from_dict(doc)
+
+
+def _lu_shifted(matrix, source_param=None):
+    """Factor A + 0.05 mean|diag A| I: an inexact preconditioner for A."""
+    shift = 0.05 * np.mean(np.abs(matrix.diagonal()))
+    eye = sp.identity(matrix.shape[0], format="csr")
+    return krylov.lu_factor(matrix + shift * eye, source_param=source_param)
+
+
+@pytest.fixture
+def inexact_pcs(monkeypatch):
+    """Every preconditioner the oracle builds is the shifted, inexact one."""
+    monkeypatch.setattr(surrogate, "lu_factor", _lu_shifted)
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    """The oracles the strategies create, in creation order."""
+    made, make = [], harness._oracle
+
+    def capture(exp):
+        made.append(make(exp))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "_oracle", capture)
+    return made
 
 
 class TestConfig:
@@ -323,6 +351,47 @@ class TestBaselines:
         assert report.cost_total == pytest.approx(
             report.n_ratio * report.n_pc + iterations, rel=1e-12
         )
+
+    def test_mean_based_unconverged_solves_flag_degraded_run(self):
+        report = baseline_mean_based(small_affine_config(n_points=6, max_iter=1))
+        assert report.degraded
+        assert any(not rec["converged"] for rec in report.per_point)
+
+    def test_per_point_unconverged_solves_flag_degraded_run(self, inexact_pcs):
+        report = baseline_per_point(small_affine_config(n_points=6, max_iter=1))
+        assert report.degraded
+        assert any(not rec["converged"] for rec in report.per_point)
+
+
+class TestLedger:
+    """Every strategy builds and solves through one oracle and reports off its log."""
+
+    @pytest.mark.parametrize("mode", ["synthetic", "measured"])
+    @pytest.mark.parametrize(
+        "strategy", [run_pipeline, baseline_mean_based, baseline_per_point]
+    )
+    def test_cost_identity_with_inexact_preconditioners(
+        self, strategy, mode, inexact_pcs, oracles
+    ):
+        exp = small_affine_config(
+            n_points=16,
+            sampling="grid",
+            cost={"mode": mode, "c_build": 1e-5, "c_iter": 1e-6},
+        )
+        report = strategy(exp)
+        if isinstance(report, tuple):
+            report = report[0]
+        iterations = [r["iterations"] for r in report.per_point]
+        # the shifted factors are inexact, so solves take real iterations
+        assert max(iterations) > 1
+        assert report.cost_total == pytest.approx(
+            report.n_ratio * report.n_pc + sum(iterations), rel=1e-12
+        )
+        (oracle,) = oracles
+        solves = [r for r in oracle.log if r.position is not None]
+        assert len(oracle.log) - len(solves) == report.n_pc
+        assert sorted(r.position for r in solves) == list(range(16))
+        assert sum(r.iterations for r in solves) == sum(iterations)
 
 
 class TestReports:
