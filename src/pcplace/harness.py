@@ -13,9 +13,7 @@ across machines and runs with the same seed.
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -39,6 +37,7 @@ from .surrogate import (
     FemSolveOracle,
     SurrogatePrior,
     TrainedSurrogate,
+    _running_total,
     train_surrogate_core,
 )
 
@@ -116,6 +115,20 @@ CSV_HEADER = (
 )
 
 
+# config keys cast on reading, so that e.g. "k0": 20 reads as 20.0
+_CASTS = {
+    **dict.fromkeys(
+        ("n_dims", "n_points", "seed", "sp_window", "la_max_iter", "n_restarts"), int
+    ),
+    **dict.fromkeys(
+        ("k0", "amplitude", "decay", "tol", "mesh_constant", "c_build", "c_iter",
+         "rel_improvement_floor", "kappa"),
+        float,
+    ),
+    "eta": lambda eta: tuple(float(v) for v in eta),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (one JSON document)."""
@@ -162,46 +175,20 @@ class ExperimentConfig:
         jsonschema.validate(doc, CONFIG_SCHEMA)
         fam = doc["family"]
         kind = fam["kind"]
-        if kind == "affine":
-            if "eta" not in fam:
-                raise ValueError("affine family config needs 'eta'")
-            n_dims = len(fam["eta"])
-            eta = tuple(float(v) for v in fam["eta"])
-            amplitude = decay = None
-        else:
-            for key in ("n_dims", "amplitude", "decay"):
-                if key not in fam:
-                    raise ValueError(f"shape family config needs '{key}'")
-            n_dims = int(fam["n_dims"])
-            eta = None
-            amplitude = float(fam["amplitude"])
-            decay = float(fam["decay"])
-        cost = doc.get("cost", {})
-        placement = doc.get("placement", {})
-        return cls(
-            family_kind=kind,
-            n_dims=n_dims,
-            k0=float(doc["k0"]),
-            n_points=int(doc["n_points"]),
-            eta=eta,
-            amplitude=amplitude,
-            decay=decay,
-            sampling=doc.get("sampling", "uniform"),
-            seed=int(doc.get("seed", 0)),
-            tol=float(doc.get("tol", 1e-5)),
-            mesh_constant=float(doc.get("mesh_constant", 2.5)),
-            mesh_size=doc.get("mesh_size"),
-            max_iter=doc.get("max_iter"),
-            cost_mode=cost.get("mode", "synthetic"),
-            c_build=float(cost.get("c_build", 1e-4)),
-            c_iter=float(cost.get("c_iter", 1e-6)),
-            sp_window=int(doc.get("sp_window", 5)),
-            la_max_iter=int(placement.get("la_max_iter", 50)),
-            rel_improvement_floor=float(placement.get("rel_improvement_floor", 1e-4)),
-            n_restarts=int(placement.get("n_restarts", 5)),
-            kappa=float(placement.get("kappa", 1.0)),
-            output_dir=doc.get("output_dir", "pcplace_out"),
+        required = ("eta",) if kind == "affine" else ("n_dims", "amplitude", "decay")
+        for key in required:
+            if key not in fam:
+                raise ValueError(f"{kind} family config needs '{key}'")
+        # flatten the sections; a key the document leaves out keeps its default
+        flat = {k: v for k, v in doc.items() if k not in ("family", "cost", "placement")}
+        flat.update({key: fam[key] for key in required}, family_kind=kind)
+        flat.update(doc.get("placement", {}))
+        flat.update(
+            ("cost_mode" if k == "mode" else k, v) for k, v in doc.get("cost", {}).items()
         )
+        if kind == "affine":
+            flat["n_dims"] = len(fam["eta"])
+        return cls(**{k: _CASTS[k](v) if k in _CASTS else v for k, v in flat.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -209,14 +196,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def with_overrides(self, seed=None, cost_mode=None, output_dir=None):
-        updates = {}
-        if seed is not None:
-            updates["seed"] = int(seed)
-        if cost_mode is not None:
-            updates["cost_mode"] = cost_mode
-        if output_dir is not None:
-            updates["output_dir"] = output_dir
-        return replace(self, **updates) if updates else self
+        updates = dict(seed=seed, cost_mode=cost_mode, output_dir=output_dir)
+        return replace(self, **{k: v for k, v in updates.items() if v is not None})
 
     # problem construction -------------------------------------------------
 
@@ -413,27 +394,6 @@ def place(
     )
 
 
-def _running_total(costs) -> float:
-    """Left-to-right float sum, as a running total adds.
-
-    From Python 3.12 ``sum`` compensates float rounding, which would move
-    reported costs in their last bits.
-    """
-    return functools.reduce(operator.add, costs, 0.0)
-
-
-def _realized_ratio(oracle: FemSolveOracle) -> float:
-    """Break-even iteration count realized over every build and solve logged."""
-    builds = [r.cost for r in oracle.log if r.position is None]
-    solves = [r for r in oracle.log if r.position is not None]
-    return oracle.policy.n_ratio(
-        _running_total(builds),
-        len(builds),
-        _running_total(r.cost for r in solves),
-        sum(r.iterations for r in solves),
-    )
-
-
 def _report(
     exp: ExperimentConfig, label: str, oracle: FemSolveOracle, n_train: int, n_ratio: float,
     **values,
@@ -452,7 +412,7 @@ def _report(
             "y": targets.points[r.position].tolist(),
             "phase": "train" if k < n_train else "exec",
             "pc": r.pc,
-            "iterations": float(r.iterations) if k < n_train else int(r.iterations),
+            "iterations": int(r.iterations),
             "converged": bool(r.converged),
         }
         for k, r in solves
@@ -487,11 +447,11 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     wall_start = time.perf_counter()
     surrogate, oracle = train(exp)
     targets, policy = oracle.points, oracle.policy
-    n_train = len(oracle.log)
+    training = list(oracle.log)
+    n_train = len(training)
     n_ratio = surrogate.m_max
     t_train = policy.stage_cost(
-        surrogate.tau_pc + surrogate.tau_krylov * surrogate.train_iterations,
-        surrogate.train_wall_time,
+        _running_total(r.cost for r in training), surrogate.train_wall_time
     )
 
     remaining = targets.without_indices(surrogate.evaluated)
@@ -513,7 +473,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     # baseline estimates: the per-point cost assumes one iteration per
     # target (exact LU); the mean-based cost uses measured counts where
     # available and the surrogate elsewhere
-    est = surrogate.train_iterations
+    est = float(sum(r.iterations for r in training if r.position is not None))
     if len(remaining):
         est += float(np.sum(surrogate.iterations_at(remaining.points)))
 
@@ -523,7 +483,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         t_l_al=t_l_al,
         t_exec=_running_total(r.cost for r in oracle.log[n_train:]),
         cost_mean_based=n_ratio * 1 + est,
-        cost_per_point=len(targets) * (n_ratio + 1.0),
+        cost_per_point=n_ratio * len(targets) + float(len(targets)),
         cost_mean_based_estimated=True,
         m_max=surrogate.m_max,
         pc_locations=plan.pc_locations.tolist(),
@@ -547,14 +507,14 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     for pos in range(len(targets)):
         oracle.run(pos, pc, "mean")
 
-    n_ratio = _realized_ratio(oracle)
+    n_ratio = oracle.n_ratio()
     build, *solves = oracle.log
     report = _report(
         exp, "mean_based", oracle, 0, n_ratio,
         t_train=0.0,
         t_l_al=0.0,
         t_exec=build.cost + _running_total(r.cost for r in solves),
-        cost_per_point=len(targets) * (n_ratio + 1.0),
+        cost_per_point=n_ratio * len(targets) + float(len(targets)),
         pc_locations=[targets.box.center.tolist()],
         pc_fixed_mask=[True],
         wall_seconds=time.perf_counter() - wall_start,
@@ -573,7 +533,7 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
         oracle.run(pos, oracle.build(y), pos)
 
     report = _report(
-        exp, "per_point", oracle, 0, _realized_ratio(oracle),
+        exp, "per_point", oracle, 0, oracle.n_ratio(),
         t_train=0.0,
         t_l_al=0.0,
         t_exec=_running_total(r.cost for r in oracle.log),

@@ -98,7 +98,13 @@ class PlacementPlan:
 
 def strategy_cost(plan: PlacementPlan, cost_ratio: float) -> float:
     """Build cost of the chargeable preconditioners plus total iterations."""
-    return cost_ratio * plan.n_charged + float(plan.assigned_m.sum())
+    return _objective(cost_ratio, plan.fixed_mask, plan.assigned_m)
+
+
+def _objective(cost_ratio: float, fixed_mask, per_m: np.ndarray) -> float:
+    """The placement objective: ``cost_ratio`` per chargeable build plus Σ m."""
+    n_charged = int((~np.asarray(fixed_mask, dtype=bool)).sum())
+    return cost_ratio * n_charged + float(per_m.sum())
 
 
 def _metric_table(points: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
@@ -211,7 +217,7 @@ def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
     kept = np.arange(table.shape[1])
     rows = np.arange(table.shape[0])
     while kept.size > 1:
-        current = cost_ratio * int((~fixed_mask[kept]).sum()) + float(per_m.sum())
+        current = _objective(cost_ratio, fixed_mask[kept], per_m)
         best_cost, best_state = current, None
         for k in kept:
             if fixed_mask[k]:
@@ -219,9 +225,7 @@ def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
             trial_kept = kept[kept != k]
             trial_assignment = np.argmin(table[:, trial_kept], axis=1)
             trial_m = table[rows, trial_kept[trial_assignment]]
-            trial_cost = cost_ratio * int((~fixed_mask[trial_kept]).sum()) + float(
-                trial_m.sum()
-            )
+            trial_cost = _objective(cost_ratio, fixed_mask[trial_kept], trial_m)
             if trial_cost < best_cost - 1e-12:
                 best_cost = trial_cost
                 best_state = (trial_kept, trial_assignment, trial_m)
@@ -255,12 +259,7 @@ def greedy_init(
         fixed_mask = [True] * len(locations)
 
     _, vals = allocate(points, np.vstack(locations), m)
-
-    def current_cost(values):
-        charged = sum(1 for f in fixed_mask if not f)
-        return cost_ratio * charged + float(values.sum())
-
-    trace = [current_cost(vals)]
+    trace = [_objective(cost_ratio, fixed_mask, vals)]
     costs = [np.inf, trace[0]]
     added = 0
     cap = points.shape[0] + 2
@@ -272,7 +271,7 @@ def greedy_init(
         fixed_mask.append(False)
         added += 1
         vals = np.minimum(vals, m(points - points[pick]))
-        costs.append(current_cost(vals))
+        costs.append(_objective(cost_ratio, fixed_mask, vals))
         trace.append(costs[-1])
     drop = min(2, added)
     if drop:
@@ -380,14 +379,13 @@ def plan_placement(
     kept, assignment, per_m = _prune(table, fixed_mask, assignment, per_m, cost_ratio)
     locations, fixed_mask = locations[kept], fixed_mask[kept]
 
-    cost = cost_ratio * int((~fixed_mask).sum()) + float(per_m.sum())
     return PlacementPlan(
         pc_locations=locations,
         fixed_mask=fixed_mask,
         assignment=assignment,
         point_indices=targets.indices.copy(),
         assigned_m=per_m,
-        estimated_cost=cost,
+        estimated_cost=_objective(cost_ratio, fixed_mask, per_m),
         greedy_cost_trace=trace,
         sigma_m_trace=sigma_trace,
         la_iterations=la_iters,

@@ -19,7 +19,9 @@ criterion.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -64,8 +66,11 @@ class GramFactorizationError(RuntimeError):
 class IterationMap:
     """Bijection between contraction factors in (0,1) and iteration counts.
 
-    Both directions are evaluated in cancellation-free forms so the
-    roundtrip is tight (relative 1e-12 over the useful range).
+    The roundtrip holds to relative 1e-12 for alpha in [1e-6, 1) and m in
+    [2, 1e8].  ``iters_from_alpha`` cancels where (1-s)^2/(1+a) is near 1,
+    so it loses digits below alpha of about 1e-8, the GP's one-iteration
+    anchor included (strict xfail
+    ``tests/test_properties.py::test_roundtrip_at_one_iteration``).
     """
 
     tol: float = 1e-5
@@ -367,14 +372,17 @@ class TrainedSurrogate:
     iter_map: IterationMap
     evaluated: list[int]
     tau_pc: float
-    tau_krylov: float
     budget_exhausted: bool = False
     sp_history: list[float] = field(default_factory=list)
     prediction_trace: list[tuple[int, float, float]] = field(default_factory=list)
     solutions: dict[int, np.ndarray] = field(default_factory=dict)
     train_wall_time: float = 0.0
-    train_iterations: float = 0.0
     degenerate_fit: bool = False
+
+    @property
+    def tau_krylov(self) -> float:
+        """Cost of one Krylov iteration: the reference build over ``m_max``."""
+        return self.tau_pc / self.m_max
 
     def expected_iterations(self, deltas: np.ndarray) -> np.ndarray:
         """Estimated GMRES iterations for the given parameter shifts (>= 1)."""
@@ -387,15 +395,14 @@ class TrainedSurrogate:
         """Convenience: iterations for absolute points against ``ybar``."""
         return self.expected_iterations(np.atleast_2d(points) - self.ybar)
 
-    def acquisition(self, deltas: np.ndarray, m_max: float | None = None) -> np.ndarray:
-        """Variance-to-cost score, -inf above the break-even cap.
+    def acquisition(self, deltas: np.ndarray) -> np.ndarray:
+        """Variance-to-cost score, -inf above the break-even cap ``m_max``.
 
         The variance of the mapped iteration count is approximated with a
         symmetric stencil stepped by the *variance* of alpha (not its
         standard deviation), with the stencil arguments clamped into the
         valid contraction range.
         """
-        cap = self.m_max if m_max is None else m_max
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
         mean, var = self.gp.posterior(d)
         mid = np.clip(mean, ALPHA_MIN, ALPHA_MAX)
@@ -405,7 +412,7 @@ class TrainedSurrogate:
         v_g = 0.5 * (
             self.iter_map.iters_from_alpha(hi) - self.iter_map.iters_from_alpha(lo)
         )
-        return np.where(e_g <= cap, v_g / e_g, -np.inf)
+        return np.where(e_g <= self.m_max, v_g / e_g, -np.inf)
 
     def to_json_dict(self) -> dict:
         prior = self.gp.prior
@@ -458,7 +465,6 @@ class TrainedSurrogate:
             iter_map=IterationMap(float(doc["tol"])),
             evaluated=[int(i) for i in doc["evaluated"]],
             tau_pc=float(doc["tau_pc"]),
-            tau_krylov=float(doc["tau_krylov"]),
             budget_exhausted=bool(doc["budget_exhausted"]),
             sp_history=list(doc.get("sp_history", [])),
             degenerate_fit=bool(doc.get("degenerate_fit", False)),
@@ -480,12 +486,14 @@ def train_surrogate_core(
     """Active-learning loop against an abstract solve oracle.
 
     The oracle supplies ``build_reference() -> tau_pc`` (builds the
-    reference preconditioner at the set's box center and reports its cost)
-    and ``solve(position) -> (iterations, tau, solution)`` for a row of
-    ``points`` solved with that preconditioner.  Training seeds the GP
-    with the origin pin and the point of smallest unit-coefficient prior
-    mean, then alternates acquisition, solve, hyperparameter refit and a
-    stabilizing-predictions check.
+    reference preconditioner at the set's box center and reports its
+    cost), ``solve(position) -> (iterations, solution)`` for a row of
+    ``points`` solved with that preconditioner, and ``n_ratio()``, the
+    break-even iteration count realized over every build and solve so far.
+    That count caps each round's acquisition and becomes ``m_max``.
+    Training seeds the GP with the origin pin and the point of smallest
+    unit-coefficient prior mean, then alternates acquisition, solve,
+    hyperparameter refit and a stabilizing-predictions check.
     """
     if len(points) == 0:
         raise ValueError("cannot train on an empty parameter set")
@@ -501,26 +509,28 @@ def train_surrogate_core(
     gp.add_pair(np.zeros(points.box.dims), iter_map.alpha_from_iters(1.0))
 
     tau_pc = float(oracle.build_reference())
+    evaluated_pos: list[int] = []
+    solutions = {}
+
+    def solve(pos: int) -> float:
+        m, solution = oracle.solve(pos)
+        evaluated_pos.append(pos)
+        if solution is not None:
+            solutions[int(points.indices[pos])] = solution
+        gp.add_pair(deltas_all[pos], iter_map.alpha_from_iters(m))
+        return float(m)
 
     mu_unit = prior_mean(deltas_all, (1.0, 1.0), prior.b_weight, prior.d_weight)
-    first_pos = int(np.argmin(mu_unit))
-    m_first, tau_first, sol_first = oracle.solve(first_pos)
-    evaluated_pos = [first_pos]
-    solutions = {}
-    if sol_first is not None:
-        solutions[int(points.indices[first_pos])] = sol_first
-    gp.add_pair(deltas_all[first_pos], iter_map.alpha_from_iters(m_first))
-    tau_tot, m_tot = float(tau_first), float(m_first)
+    solve(int(np.argmin(mu_unit)))
     degenerate = gp.refit_coeffs()
 
     surrogate = TrainedSurrogate(
         gp=gp,
         ybar=ybar,
-        m_max=tau_pc / (tau_tot / m_tot),
+        m_max=oracle.n_ratio(),
         iter_map=iter_map,
         evaluated=[],
         tau_pc=tau_pc,
-        tau_krylov=tau_tot / m_tot,
         degenerate_fit=degenerate,
     )
     tracker = SpTracker(window=sp_window)
@@ -533,8 +543,7 @@ def train_surrogate_core(
         if remaining.size == 0:
             budget_exhausted = True
             break
-        m_max = tau_pc / (tau_tot / m_tot)
-        scores = surrogate.acquisition(deltas_all[remaining], m_max)
+        scores = surrogate.acquisition(deltas_all[remaining])
         if not np.any(np.isfinite(scores)):
             # Every candidate is expected to cost more than building its
             # own preconditioner; further training cannot pay off.
@@ -542,15 +551,10 @@ def train_surrogate_core(
         pick = int(remaining[int(np.argmax(scores))])
         predicted = float(surrogate.expected_iterations(deltas_all[[pick]])[0])
 
-        m_i, tau_i, sol_i = oracle.solve(pick)
-        evaluated_pos.append(pick)
-        if sol_i is not None:
-            solutions[int(points.indices[pick])] = sol_i
-        gp.add_pair(deltas_all[pick], iter_map.alpha_from_iters(m_i))
-        tau_tot += float(tau_i)
-        m_tot += float(m_i)
+        m_i = solve(pick)
+        surrogate.m_max = oracle.n_ratio()
         degenerate = gp.refit_coeffs() or degenerate
-        trace.append((int(points.indices[pick]), predicted, float(m_i)))
+        trace.append((int(points.indices[pick]), predicted, m_i))
 
         new_m = surrogate.expected_iterations(deltas_all)
         stop = tracker.update(prev_m, new_m)
@@ -558,9 +562,6 @@ def train_surrogate_core(
         if stop:
             break
 
-    surrogate.m_max = tau_pc / (tau_tot / m_tot)
-    surrogate.tau_krylov = tau_tot / m_tot
-    surrogate.train_iterations = m_tot
     surrogate.evaluated = [int(points.indices[p]) for p in evaluated_pos]
     surrogate.budget_exhausted = budget_exhausted
     surrogate.sp_history = tracker.history
@@ -569,6 +570,15 @@ def train_surrogate_core(
     surrogate.degenerate_fit = degenerate
     surrogate.train_wall_time = time.perf_counter() - start
     return surrogate
+
+
+def _running_total(costs) -> float:
+    """Left-to-right float sum, as a running total adds.
+
+    From Python 3.12 ``sum`` compensates float rounding, which would move
+    reported costs in their last bits.
+    """
+    return functools.reduce(operator.add, costs, 0.0)
 
 
 class LogRecord(NamedTuple):
@@ -625,4 +635,15 @@ class FemSolveOracle:
     def solve(self, position: int):
         """Training solve with the reference preconditioner."""
         report = self.run(position, self.reference_pc, "mean")
-        return report.iterations, self.log[-1].cost, report.solution
+        return report.iterations, report.solution
+
+    def n_ratio(self) -> float:
+        """Break-even iteration count realized over every build and solve logged."""
+        builds = [r.cost for r in self.log if r.position is None]
+        solves = [r for r in self.log if r.position is not None]
+        return self.policy.n_ratio(
+            _running_total(builds),
+            len(builds),
+            _running_total(r.cost for r in solves),
+            sum(r.iterations for r in solves),
+        )

@@ -9,11 +9,14 @@ regenerate them with
 
     PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 
+which prints, for each file it rewrites, the top-level fields that
+changed (and whether a field's values changed or only their JSON types),
 and say in the change log why they moved.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -83,8 +86,40 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert fresh.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
+def _load(name: str) -> dict:
+    return json.loads((DATA / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+def test_strategies_share_one_ratio(config):
+    pipeline, mean_based, per_point = (
+        _load(config + suffix) for suffix in STRATEGIES
+    )
+    assert pipeline["n_ratio"] == mean_based["n_ratio"] == per_point["n_ratio"]
+    assert pipeline["m_max"] == pipeline["n_ratio"]
+    assert pipeline["cost_per_point"] == per_point["cost_total"]
+    for doc in (pipeline, mean_based, per_point):
+        assert all(type(rec["iterations"]) is int for rec in doc["per_point"])
+
+
+def changed_fields(old: dict, new: dict) -> list[str]:
+    """Top-level fields whose JSON text differs, each marked values or types.
+
+    A field whose values compare equal but print differently (``8.0``
+    against ``8``) changed its types only.
+    """
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if json.dumps(before) != json.dumps(after):
+            out.append(f"{key} ({'types only' if before == after else 'values'})")
+    return out
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for key in sys.argv[1:] or sorted(GOLDEN_REPORTS):
-        _write(key, DATA / f"{key}.json")
-        print(f"wrote {DATA / f'{key}.json'}")
+        path = DATA / f"{key}.json"
+        old = _load(key) if path.exists() else {}
+        _write(key, path)
+        print(f"wrote {path}: {', '.join(changed_fields(old, _load(key))) or 'unchanged'}")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,59 @@ class TestConfig:
         )
         with pytest.raises(ValueError):
             bad.build_family(bad.helmholtz_config())
+
+    @pytest.mark.parametrize(
+        "family, required",
+        [
+            ({"kind": "affine", "eta": [0.5, 2]},
+             dict(family_kind="affine", n_dims=2, eta=(0.5, 2.0))),
+            ({"kind": "shape", "n_dims": 3, "amplitude": 1, "decay": 2},
+             dict(family_kind="shape", n_dims=3, amplitude=1.0, decay=2.0)),
+        ],
+    )
+    def test_minimal_document_takes_field_defaults(self, family, required):
+        exp = ExperimentConfig.from_dict({"family": family, "k0": 20, "n_points": 4})
+        assert exp == ExperimentConfig(k0=20.0, n_points=4, **required)
+        # numbers are cast: the report shows k0 as 20.0, not 20
+        assert repr(exp) == repr(ExperimentConfig(k0=20.0, n_points=4, **required))
+
+    def test_every_key_reaches_its_field(self):
+        exp = ExperimentConfig.from_dict(
+            {
+                "family": {"kind": "affine", "eta": [0.3], "n_dims": 5},
+                "k0": 6,
+                "n_points": 3,
+                "sampling": "halton",
+                "seed": 2,
+                "tol": 1e-6,
+                "mesh_constant": 3,
+                "mesh_size": 0.2,
+                "max_iter": 40,
+                "cost": {"mode": "measured", "c_build": 2e-4, "c_iter": 3e-6},
+                "sp_window": 4,
+                "placement": {
+                    "la_max_iter": 7,
+                    "rel_improvement_floor": 0,
+                    "n_restarts": 1,
+                    "kappa": 2,
+                },
+                "output_dir": "out",
+            }
+        )
+        expected = ExperimentConfig(
+            family_kind="affine", n_dims=1, k0=6.0, n_points=3, eta=(0.3,),
+            sampling="halton", seed=2, tol=1e-6, mesh_constant=3.0, mesh_size=0.2,
+            max_iter=40, cost_mode="measured", c_build=2e-4, c_iter=3e-6, sp_window=4,
+            la_max_iter=7, rel_improvement_floor=0.0, n_restarts=1, kappa=2.0,
+            output_dir="out",
+        )
+        assert repr(exp) == repr(expected)
+
+    def test_overrides_replace_only_given_values(self):
+        exp = small_affine_config()
+        assert exp.with_overrides() == exp
+        moved = exp.with_overrides(seed=3, output_dir="elsewhere")
+        assert moved == replace(exp, seed=3, output_dir="elsewhere")
 
 
 class TestSampling:
@@ -351,6 +405,18 @@ class TestBaselines:
         assert report.cost_total == pytest.approx(
             report.n_ratio * report.n_pc + iterations, rel=1e-12
         )
+
+    @pytest.mark.parametrize("strategy", [run_pipeline, baseline_mean_based])
+    def test_cost_per_point_estimate_is_per_point_cost(self, strategy):
+        # at 47 targets and ratio 1e-5 / 1e-6, 47 * (n_ratio + 1) rounds
+        # differently from the per-point ledger's n_ratio * 47 + 47
+        exp = small_affine_config(
+            n_points=47, k0=6.0, cost={"mode": "synthetic", "c_build": 1e-5, "c_iter": 1e-6}
+        )
+        report = strategy(exp)
+        if isinstance(report, tuple):
+            report = report[0]
+        assert report.cost_per_point == baseline_per_point(exp).cost_total
 
     def test_mean_based_unconverged_solves_flag_degraded_run(self):
         report = baseline_mean_based(small_affine_config(n_points=6, max_iter=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pcplace.krylov import CostPolicy
 from pcplace.param_space import (
     ParamBox,
     ParamSet,
@@ -10,8 +11,10 @@ from pcplace.param_space import (
     batch_weighted_norm,
 )
 from pcplace.surrogate import (
+    FemSolveOracle,
     GpState,
     IterationMap,
+    LogRecord,
     SpTracker,
     SurrogatePrior,
     TrainedSurrogate,
@@ -258,14 +261,20 @@ class TestPosterior:
         assert np.all(var >= 0)
 
 
-def synthetic_oracle(points, prior, coeffs, tau_pc=100.0, tau_iter=1.0, noise=None):
-    """Oracle whose true iteration counts follow the prior mean exactly."""
+def synthetic_oracle(points, prior, coeffs, ratio=100.0, noise=None):
+    """Oracle whose true iteration counts follow the prior mean exactly.
+
+    An iteration costs 1 and the reference build ``ratio``.
+    """
     im = IterationMap(1e-5)
     ybar = points.box.center
 
     class Oracle:
         def build_reference(self):
-            return tau_pc
+            return ratio
+
+        def n_ratio(self):
+            return ratio
 
         def solve(self, position):
             delta = points.points[position] - ybar
@@ -276,7 +285,7 @@ def synthetic_oracle(points, prior, coeffs, tau_pc=100.0, tau_iter=1.0, noise=No
             m = max(1.0, im.iters_from_alpha(alpha))
             if noise is not None:
                 m += noise(position)
-            return m, tau_iter * m, None
+            return m, None
 
     return Oracle()
 
@@ -314,16 +323,19 @@ class TestTrainingLoop:
         assert len(set(surr.evaluated)) == len(surr.evaluated)
         assert set(surr.evaluated) <= set(pts.indices.tolist())
 
-    def test_m_max_is_cost_ratio_for_constant_tau(self):
+    def test_oracle_ratio_caps_acquisition(self):
+        # a ratio of one iteration prices every candidate out after the
+        # first solve, so training stops there with m_max the oracle's ratio
         rng = np.random.default_rng(11)
         box = ParamBox.symmetric_unit(2)
         pts = ParamSet(box, rng.uniform(-1, 1, size=(30, 2)))
         prior = make_prior(2)
         surr = train_surrogate_core(
-            pts, synthetic_oracle(pts, prior, (0.0, 0.05), tau_pc=80.0), prior
+            pts, synthetic_oracle(pts, prior, (0.0, 0.05), ratio=1.0), prior
         )
-        assert_allclose(surr.m_max, 80.0, rtol=1e-12)
-        assert 50 <= surr.m_max <= 200
+        assert len(surr.evaluated) == 1 and not surr.budget_exhausted
+        assert surr.m_max == 1.0
+        assert surr.tau_krylov == surr.tau_pc / surr.m_max
 
     def test_origin_maps_to_one_iteration(self):
         rng = np.random.default_rng(12)
@@ -345,7 +357,7 @@ class TestTrainingLoop:
         surr = train_surrogate_core(pts, oracle, prior)
         # re-solve one evaluated point with the oracle and compare
         pos = list(pts.indices).index(surr.evaluated[-1])
-        m_true, _, _ = oracle.solve(pos)
+        m_true, _ = oracle.solve(pos)
         delta = pts.points[pos] - surr.ybar
         m_pred = surr.expected_iterations(delta.reshape(1, -1))[0]
         assert abs(m_pred - m_true) <= 0.5
@@ -360,7 +372,6 @@ class TestTrainingLoop:
             iter_map=IterationMap(1e-5),
             evaluated=[],
             tau_pc=100.0,
-            tau_krylov=1.0,
         )
         direction = np.array([0.6, 0.8])
         ts = np.linspace(0.0, 1.0, 30)
@@ -382,15 +393,16 @@ class TestAcquisition:
     def test_cap_gives_minus_infinity(self):
         surr = self._surrogate()
         far = np.array([[1.0, 1.0]])
-        tiny_cap = 1.0 + 1e-9
-        scores = surr.acquisition(far, m_max=tiny_cap)
+        surr.m_max = 1.0 + 1e-9
+        scores = surr.acquisition(far)
         assert scores[0] == -np.inf
 
     def test_zero_variance_gives_zero(self):
         surr = self._surrogate()
         # at a training input the posterior variance collapses
         delta = surr.gp.deltas[-1].reshape(1, -1)
-        score = surr.acquisition(delta, m_max=1e9)[0]
+        surr.m_max = 1e9
+        score = surr.acquisition(delta)[0]
         assert 0.0 <= score <= 1e-4
 
     def test_monotone_in_variance(self):
@@ -404,7 +416,6 @@ class TestAcquisition:
             iter_map=IterationMap(1e-5),
             evaluated=[],
             tau_pc=100.0,
-            tau_krylov=1.0,
         )
         im = surr.iter_map
 
@@ -449,6 +460,41 @@ class TestSpTracker:
         assert not t.update(m, m)
         assert not t.update(m, m)
         assert t.update(m, m)
+
+
+class TestOracleRatio:
+    """``FemSolveOracle.n_ratio`` aggregates every build and solve in its log."""
+
+    LOG = [
+        LogRecord(None, None, 0, True, 0.5),
+        LogRecord(0, "mean", 4, True, 0.2),
+        LogRecord(None, None, 0, True, 0.25),
+        LogRecord(1, 0, 6, False, 0.4),
+        LogRecord(2, 1, 0, True, 0.0),
+    ]
+
+    def _oracle(self, mode):
+        policy = CostPolicy(mode=mode, c_build=1e-5, c_iter=1e-6)
+        oracle = FemSolveOracle(None, None, None, None, policy)
+        oracle.log = list(self.LOG)
+        return oracle
+
+    def test_measured_is_mean_build_over_mean_iteration_cost(self):
+        mean_build = (0.5 + 0.25) / 2
+        per_iteration = (0.2 + 0.4 + 0.0) / (4 + 6 + 0)
+        assert self._oracle("measured").n_ratio() == pytest.approx(
+            mean_build / per_iteration, rel=1e-15
+        )
+
+    def test_synthetic_is_configured_ratio(self):
+        assert self._oracle("synthetic").n_ratio() == 1e-5 / 1e-6
+
+    def test_counts_records_appended_later(self):
+        oracle = self._oracle("measured")
+        before = oracle.n_ratio()
+        oracle.log.append(LogRecord(3, 0, 2, True, 0.8))
+        assert oracle.n_ratio() == pytest.approx(0.375 / (1.4 / 12), rel=1e-15)
+        assert oracle.n_ratio() < before
 
 
 class TestSerialization:
