@@ -16,12 +16,18 @@ the cost rises twice in a row (the last two insertions are then discarded);
 locations are refined by alternating generalized-Voronoi allocation with
 per-cell Weber re-centering, and preconditioners whose removal lowers the
 cost are pruned at the end.
+
+The Weber step scores cell members as candidates but starts no descent
+from them: an iteration-count metric has a logarithmic cusp at zero
+shift, so every member is a strict local minimum of its cell's total and
+a descent from it only returns its start.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +166,36 @@ def _value_and_gradient(yhat, cell: np.ndarray, m, box: ParamBox):
     return float(totals[0]), (totals[1:] - totals[0]) / dx
 
 
+def _descent_ends(cell: np.ndarray, m, box: ParamBox, starts: np.ndarray) -> list[np.ndarray]:
+    """L-BFGS-B end points from the distinct ``starts`` that are not cell members.
+
+    Each run minimizes the cell's total m with batched forward-difference
+    gradients (one m call per step).  Its end point is returned clipped to
+    the box, not paired with ``res.fun``: after an abnormal line-search exit
+    scipy returns the start but the value of its last trial point.
+    """
+    skip = {row.tobytes() for row in cell}
+    bounds = list(zip(box.lo, box.hi))
+    ends = []
+    for start in starts:
+        if start.tobytes() in skip:
+            continue
+        skip.add(start.tobytes())
+        res = minimize(
+            _value_and_gradient, start, args=(cell, m, box), method="L-BFGS-B",
+            jac=True, bounds=bounds,
+        )
+        ends.append(box.clip(res.x))
+    return ends
+
+
+# The deterministic candidates of ``locate`` (its starts and their descent
+# ends) by the bytes of the cell's members and the incumbent, kept for one
+# ``plan_placement`` call and None outside it.  A context variable, so that
+# ``locate`` keeps its signature and each planner call has its own memo.
+_WEBER_MEMO: ContextVar[dict | None] = ContextVar("weber_memo", default=None)
+
+
 def locate(
     cell: np.ndarray,
     m,
@@ -170,37 +206,45 @@ def locate(
 ) -> tuple[np.ndarray, bool]:
     """Weber step: a box-constrained minimizer of the cell's total m.
 
-    Runs a quasi-Newton optimizer (box bounds, batched forward-difference
-    gradients: one m call per step) from the incumbent, the cell centroid,
-    a few cell members and random restarts, and returns the best candidate
-    seen, never worse than the incumbent.
+    The candidates are the starts (the incumbent, the cell centroid, the
+    first, middle and last member, and ``n_restarts`` uniform random
+    points) and the ends of quasi-Newton descents (box bounds, batched
+    forward-difference gradients) from the distinct starts that are not
+    cell members.  All candidates are scored in one m call, and the first
+    one of least total is returned, so the result is never worse than the
+    incumbent; it counts as improved when it beats the incumbent by more
+    than 1e-12.
+
+    Members are scored but not descended from: an iteration-count metric
+    rises from its one-iteration floor with a logarithmic cusp (infinite
+    slope) at zero shift, which makes every member a strict local minimum of
+    the cell total, and a descent from it returns its start after a failed
+    line search.  Within one ``plan_placement`` call the deterministic
+    candidates are reused for a repeated (members, incumbent) pair; the
+    random restarts are drawn and descended from on every call.
     """
     cell = np.atleast_2d(np.asarray(cell, dtype=float))
     if cell.shape[0] == 0:
         raise ValueError("cannot locate for an empty cell")
     if rng is None:
         rng = np.random.default_rng(0)
+    incumbent = np.asarray(incumbent, dtype=float)
 
-    starts = [np.asarray(incumbent, dtype=float), cell.mean(axis=0)]
-    member_picks = {0, cell.shape[0] // 2, cell.shape[0] - 1}
-    starts.extend(cell[i] for i in sorted(member_picks))
-    starts.extend(
-        rng.uniform(box.lo, box.hi, size=(n_restarts, box.dims))
-    )
+    memo = _WEBER_MEMO.get()
+    key = (cell.tobytes(), incumbent.tobytes())
+    deterministic = None if memo is None else memo.get(key)
+    if deterministic is None:
+        member_picks = sorted({0, cell.shape[0] // 2, cell.shape[0] - 1})
+        starts = np.vstack([incumbent, cell.mean(axis=0), cell[member_picks]])
+        deterministic = np.vstack([starts, *_descent_ends(cell, m, box, starts)])
+        if memo is not None:
+            memo[key] = deterministic
 
-    bounds = list(zip(box.lo, box.hi))
-    candidates = list(zip(_cell_totals(cell, np.vstack(starts), m).tolist(), starts))
-    for s in starts:
-        res = minimize(
-            _value_and_gradient, s, args=(cell, m, box), method="L-BFGS-B",
-            jac=True, bounds=bounds,
-        )
-        candidates.append((float(res.fun), box.clip(res.x)))
-    values = np.array([v for v, _ in candidates])
-    best = int(np.argmin(values))
-    incumbent_value = candidates[0][0]
-    improved = values[best] < incumbent_value - 1e-12
-    return candidates[best][1], improved
+    restarts = rng.uniform(box.lo, box.hi, size=(n_restarts, box.dims))
+    candidates = np.vstack([deterministic, restarts, *_descent_ends(cell, m, box, restarts)])
+    totals = _cell_totals(cell, candidates, m)
+    best = int(np.argmin(totals))
+    return candidates[best], bool(totals[best] < totals[0] - 1e-12)
 
 
 def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
@@ -299,7 +343,10 @@ def plan_placement(
     picks the stopping rule of the location-allocation loop: synthetic
     runs a fixed iteration budget with a relative-improvement floor;
     measured stops once the modeled gain of an iteration falls below its
-    own wall-clock cost expressed in iterations (requires ``tau_krylov``).
+    own wall-clock cost expressed in iterations (requires ``tau_krylov``),
+    so its sweep count depends on how cheap a sweep is: ``locate`` descends
+    only from non-member starts, and within one call it reuses the
+    deterministic candidates of a repeated cell and incumbent.
     A final pruning pass drops chargeable preconditioners whose removal
     lowers the strategy cost (an unused one always qualifies).
     """
@@ -325,56 +372,60 @@ def plan_placement(
     assignment, per_m = _assign(table)
     sigma_trace = [float(per_m.sum())]
     la_iters = 0
-    for _ in range(la_max_iter):
-        tick = time.perf_counter()
-        prev_total = float(per_m.sum())
-        prev_assignment = assignment
+    token = _WEBER_MEMO.set({})
+    try:
+        for _ in range(la_max_iter):
+            tick = time.perf_counter()
+            prev_total = float(per_m.sum())
+            prev_assignment = assignment
 
-        # Re-seed chargeable preconditioners that lost their whole cell:
-        # move each to the currently worst target, once per sweep, and
-        # only when that strictly gains over the metric floor.
-        moved = False
-        present = set(assignment.tolist())
-        for k in range(locations.shape[0]):
-            if k in present or fixed_mask[k]:
-                continue
-            worst = int(np.argmax(per_m))
-            if per_m[worst] > m_floor + 1e-12:
-                locations[k] = points[worst].copy()
-                moved = True
-                assignment, per_m = allocate(points, locations, m)
-                present = set(assignment.tolist())
+            # Re-seed chargeable preconditioners that lost their whole cell:
+            # move each to the currently worst target, once per sweep, and
+            # only when that strictly gains over the metric floor.
+            moved = False
+            present = set(assignment.tolist())
+            for k in range(locations.shape[0]):
+                if k in present or fixed_mask[k]:
+                    continue
+                worst = int(np.argmax(per_m))
+                if per_m[worst] > m_floor + 1e-12:
+                    locations[k] = points[worst].copy()
+                    moved = True
+                    assignment, per_m = allocate(points, locations, m)
+                    present = set(assignment.tolist())
 
-        shifted = 0.0
-        for k in range(locations.shape[0]):
-            if fixed_mask[k]:
-                continue
-            members = points[assignment == k]
-            if members.shape[0] == 0:
-                continue
-            new_loc, _ = locate(members, m, box, locations[k], rng, n_restarts)
-            shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
-            locations[k] = new_loc
+            shifted = 0.0
+            for k in range(locations.shape[0]):
+                if fixed_mask[k]:
+                    continue
+                members = points[assignment == k]
+                if members.shape[0] == 0:
+                    continue
+                new_loc, _ = locate(members, m, box, locations[k], rng, n_restarts)
+                shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
+                locations[k] = new_loc
 
-        table = _metric_table(points, locations, m)
-        assignment, per_m = _assign(table)
-        la_iters += 1
-        sigma_trace.append(float(per_m.sum()))
-        gain = prev_total - float(per_m.sum())
-        stable = (
-            not moved
-            and shifted <= 1e-12
-            and np.array_equal(assignment, prev_assignment)
-        )
-        if stable:
-            break
-        if mode == "synthetic":
-            if gain < rel_improvement_floor * max(prev_total, 1.0):
+            table = _metric_table(points, locations, m)
+            assignment, per_m = _assign(table)
+            la_iters += 1
+            sigma_trace.append(float(per_m.sum()))
+            gain = prev_total - float(per_m.sum())
+            stable = (
+                not moved
+                and shifted <= 1e-12
+                and np.array_equal(assignment, prev_assignment)
+            )
+            if stable:
                 break
-        else:
-            step_cost = time_gain_kappa * (time.perf_counter() - tick) / tau_krylov
-            if gain < step_cost:
-                break
+            if mode == "synthetic":
+                if gain < rel_improvement_floor * max(prev_total, 1.0):
+                    break
+            else:
+                step_cost = time_gain_kappa * (time.perf_counter() - tick) / tau_krylov
+                if gain < step_cost:
+                    break
+    finally:
+        _WEBER_MEMO.reset(token)
 
     kept, assignment, per_m = _prune(table, fixed_mask, assignment, per_m, cost_ratio)
     locations, fixed_mask = locations[kept], fixed_mask[kept]

@@ -1,8 +1,10 @@
+import contextvars
+import copy
 import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
 
 from pcplace import placement
@@ -17,6 +19,7 @@ from pcplace.placement import (
     plan_placement,
     strategy_cost,
 )
+from pcplace.surrogate import IterationMap
 
 
 def euclidean_m(deltas):
@@ -28,6 +31,19 @@ def floored_scaled_m(scale):
 
     def m(deltas):
         return np.maximum(1.0, scale * np.linalg.norm(np.atleast_2d(deltas), axis=1))
+
+    return m
+
+
+def iteration_map_m(scale):
+    """The GP's shape of m: the iteration map of a contraction factor that
+    rises linearly from its one-iteration anchor, with a cusp at zero shift."""
+    iter_map = IterationMap(1e-5)
+    anchor = iter_map.alpha_from_iters(1.0)
+
+    def m(deltas):
+        alpha = np.clip(scale * np.linalg.norm(np.atleast_2d(deltas), axis=1), anchor, 0.5)
+        return np.maximum(1.0, iter_map.iters_from_alpha(alpha))
 
     return m
 
@@ -197,12 +213,13 @@ class TestLocate:
         assert_allclose(grad, expected, rtol=1e-6)
 
     def test_one_metric_call_per_objective_evaluation(self, monkeypatch):
-        nfev = []
+        nfev, x0s = [], []
         scipy_minimize = placement.minimize
 
-        def counting_minimize(*args, **kwargs):
-            res = scipy_minimize(*args, **kwargs)
+        def counting_minimize(fun, x0, *args, **kwargs):
+            res = scipy_minimize(fun, x0, *args, **kwargs)
             nfev.append(res.nfev)
+            x0s.append(np.array(x0))
             return res
 
         monkeypatch.setattr(placement, "minimize", counting_minimize)
@@ -217,10 +234,34 @@ class TestLocate:
         box = ParamBox.symmetric_unit(2)
         cell = rng.uniform(-1, 1, size=(6, 2))
         locate(cell, counting_m, box, incumbent=np.zeros(2), rng=rng, n_restarts=2)
-        assert len(nfev) == 5 + 2
+        # descents from the incumbent, the centroid and the two restarts;
+        # the three member starts are scored but not descended from
+        assert len(nfev) == 4
+        assert not any((x0 == cell).all(axis=1).any() for x0 in x0s)
         assert len(calls) == 1 + sum(nfev)
-        assert calls[0] == 7 * 6  # every start's value in one call
-        assert set(calls[1:]) == {3 * 6}  # the (d+1)-row stencil per step
+        assert calls[-1] == (7 + 4) * 6  # every start and end in one call
+        assert set(calls[:-1]) == {3 * 6}  # the (d+1)-row stencil per step
+
+    def test_tie_keeps_the_incumbent(self, monkeypatch):
+        # the two members tie bitwise; a descent's own reported value must
+        # not break the tie (after an abnormal line-search exit scipy pairs
+        # the start with the value of its last trial point)
+        cell = np.array([[-0.1], [0.1]])
+        m = iteration_map_m(1.0)
+        totals = placement._cell_totals(cell, cell, m)
+        assert totals[0] == totals[1]
+        scored = []
+        cell_totals = placement._cell_totals
+
+        def recording_totals(*args):
+            scored.append(cell_totals(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(placement, "_cell_totals", recording_totals)
+        loc, improved = locate(cell, m, self.BOX, incumbent=cell[0].copy(), n_restarts=0)
+        assert_array_equal(loc, cell[0])
+        assert not improved
+        assert cell_totals(cell, loc[None], m)[0] == scored[-1].min()
 
 
 class TestPrune:
@@ -434,6 +475,47 @@ class TestPlanPlacement:
         assert_allclose(
             plan.estimated_cost, plan.assigned_m.sum()
         )
+
+    def test_memo_skips_repeated_descents_and_keeps_the_plan(self, monkeypatch):
+        grid = np.linspace(-1, 1, 7)
+        targets = make_set(np.array([[a, b] for a in grid for b in grid]))
+        m = iteration_map_m(0.1)
+        real_locate, real_minimize = placement.locate, placement.minimize
+        descents = []
+
+        def counting_minimize(fun, x0, *args, **kwargs):
+            descents.append(x0)
+            return real_minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(placement, "minimize", counting_minimize)
+
+        def plan(fresh):
+            seen, repeated = set(), []
+
+            def recording_locate(cell, m, box, incumbent, rng, n_restarts):
+                expected = copy.deepcopy(rng)
+                expected.uniform(size=n_restarts * box.dims)
+                key = (cell.tobytes(), incumbent.tobytes())
+                before = len(descents)
+                # an empty context has no memo: the call is made fresh
+                run = contextvars.Context().run if fresh else (lambda f, *a: f(*a))
+                out = run(real_locate, cell, m, box, incumbent, rng, n_restarts)
+                assert rng.bit_generator.state == expected.bit_generator.state
+                if key in seen:
+                    repeated.append(len(descents) - before)
+                seen.add(key)
+                return out
+
+            monkeypatch.setattr(placement, "locate", recording_locate)
+            return plan_placement(targets, m, cost_ratio=30.0, seed=0, n_restarts=2), repeated
+
+        memo_plan, memo_repeated = plan(fresh=False)
+        fresh_plan, fresh_repeated = plan(fresh=True)
+        assert memo_plan.la_iterations >= 2 and memo_repeated
+        assert memo_repeated == [2] * len(memo_repeated)  # the restarts only
+        assert sum(fresh_repeated) > sum(memo_repeated)
+        assert_array_equal(memo_plan.pc_locations, fresh_plan.pc_locations)
+        assert memo_plan.to_json_dict() == fresh_plan.to_json_dict()
 
     def test_determinism(self):
         rng = np.random.default_rng(11)

@@ -7,7 +7,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pcplace.placement import _metric_table, allocate  # noqa: E402
+from scipy.optimize import minimize  # noqa: E402
+
+from pcplace.param_space import ParamBox  # noqa: E402
+from pcplace.placement import _metric_table, _value_and_gradient, allocate  # noqa: E402
 from pcplace.surrogate import IterationMap  # noqa: E402
 
 
@@ -62,3 +65,60 @@ def test_roundtrip_at_one_iteration():
     alpha = ITER_MAP.alpha_from_iters(1.0)
     back = ITER_MAP.alpha_from_iters(ITER_MAP.iters_from_alpha(alpha))
     assert abs(back - alpha) <= 1e-12 * alpha
+
+
+ALPHA_AT_ONE_ITERATION = ITER_MAP.alpha_from_iters(1.0)
+MIN_GAP = 1e-3
+
+
+@st.composite
+def cusp_cells(draw):
+    """A cell, a PSD weight ``W`` and a slope ``c`` of the contraction factor.
+
+    ``W`` is ``A Aᵀ`` scaled to a largest diagonal entry of 1, with ``A`` of
+    rank one or full rank, and ``c >= 0.5``, so a finite-difference step
+    (1e-8) along some coordinate leaves the one-iteration floor and sees
+    the cusp.  Two members are either equal under ``W`` or ``MIN_GAP``
+    apart: members a few finite-difference steps apart can pull a descent
+    off a member.
+    """
+    dims = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    rank = draw(st.sampled_from([1, dims]))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    cell = np.array(draw(st.lists(coord, min_size=n * dims, max_size=n * dims)))
+    factor = np.array(draw(st.lists(coord, min_size=dims * rank, max_size=dims * rank)))
+    factor = factor.reshape(dims, rank)
+    weight = factor @ factor.T
+    hypothesis.assume(np.max(np.diag(weight)) > 1e-3)
+    weight /= np.max(np.diag(weight))
+    cell = cell.reshape(n, dims)
+    gaps = (cell[:, None, :] - cell[None, :, :]).reshape(-1, dims)
+    gaps = np.einsum("ij,jk,ik->i", gaps, weight, gaps)
+    hypothesis.assume(np.all((gaps == 0) | (gaps >= MIN_GAP**2)))
+    c = draw(st.floats(0.5, 50.0))
+    return cell, weight, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(cusp_cells(), st.data())
+def test_descent_from_a_member_returns_it(instance, data):
+    # the premise of locate's member skip: the cusp of the iteration map at
+    # zero shift makes every member a strict local minimum of the cell total
+    cell, weight, c = instance
+
+    def m(deltas):
+        # the cap keeps m moderate (at most 195): a far member costing
+        # thousands of iterations can let the first trial step, a long one,
+        # pass the line search's sufficient-decrease test
+        norm = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", deltas, weight, deltas), 0.0))
+        alpha = np.clip(c * norm, ALPHA_AT_ONE_ITERATION, 0.5)
+        return np.maximum(1.0, ITER_MAP.iters_from_alpha(alpha))
+
+    box = ParamBox.symmetric_unit(cell.shape[1])
+    member = cell[data.draw(st.integers(0, cell.shape[0] - 1))]
+    res = minimize(
+        _value_and_gradient, member, args=(cell, m, box), method="L-BFGS-B",
+        jac=True, bounds=list(zip(box.lo, box.hi)),
+    )
+    assert np.array_equal(res.x, member)
