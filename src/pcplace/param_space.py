@@ -165,23 +165,17 @@ class AnisotropyProfile:
     """
 
     gamma: np.ndarray
-    corr_lengths: np.ndarray
     domain_diameter: float
+    corr_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        l = np.atleast_1d(np.asarray(self.corr_lengths, dtype=float))
         if self.domain_diameter <= 0:
             raise ValueError("domain diameter must be positive")
-        if np.any(g <= 0) or np.any(l <= 0):
-            raise ValueError("gamma and correlation lengths must be positive")
-        expected = self.domain_diameter * g.max() / g
-        if not np.allclose(l, expected, rtol=1e-10):
-            raise ValueError("correlation lengths inconsistent with gamma")
-        if l.min() < self.domain_diameter * (1 - 1e-12):
-            raise ValueError("correlation lengths cannot undercut the domain diameter")
+        if np.any(g <= 0):
+            raise ValueError("gamma must be positive")
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "corr_lengths", l)
+        object.__setattr__(self, "corr_lengths", self.domain_diameter * g.max() / g)
 
     @property
     def dims(self) -> int:
@@ -271,5 +265,4 @@ def anisotropy_profile(
     if np.any(gamma <= 0):
         dead = np.flatnonzero(gamma <= 0).tolist()
         raise ValueError(f"dimensions {dead} carry no weight; drop them first")
-    lengths = domain_diameter * gamma.max() / gamma
-    return AnisotropyProfile(gamma, lengths, domain_diameter)
+    return AnisotropyProfile(gamma, domain_diameter)

@@ -20,14 +20,15 @@ cost are pruned at the end.
 The Weber step scores cell members as candidates but starts no descent
 from them: an iteration-count metric has a logarithmic cusp at zero
 shift, so every member is a strict local minimum of its cell's total and
-a descent from it only returns its start.
+a descent from it only returns its start.  Each planner call keeps its
+descent ends in one dict keyed by (cell, start), the only inputs a descent
+has that change between sweeps.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,34 +167,37 @@ def _value_and_gradient(yhat, cell: np.ndarray, m, box: ParamBox):
     return float(totals[0]), (totals[1:] - totals[0]) / dx
 
 
-def _descent_ends(cell: np.ndarray, m, box: ParamBox, starts: np.ndarray) -> list[np.ndarray]:
+def _descent_ends(
+    cell: np.ndarray, m, box: ParamBox, starts: np.ndarray, memo: dict | None = None
+) -> list[np.ndarray]:
     """L-BFGS-B end points from the distinct ``starts`` that are not cell members.
 
     Each run minimizes the cell's total m with batched forward-difference
     gradients (one m call per step).  Its end point is returned clipped to
     the box, not paired with ``res.fun``: after an abnormal line-search exit
-    scipy returns the start but the value of its last trial point.
+    scipy returns the start but the value of its last trial point.  A run
+    depends only on the cell and its start (m and the box are fixed within
+    one planner call), so its end is kept in ``memo`` under their bytes.
     """
+    memo = {} if memo is None else memo
+    cell_key = cell.tobytes()
     skip = {row.tobytes() for row in cell}
     bounds = list(zip(box.lo, box.hi))
     ends = []
     for start in starts:
-        if start.tobytes() in skip:
+        start_key = start.tobytes()
+        if start_key in skip:
             continue
-        skip.add(start.tobytes())
-        res = minimize(
-            _value_and_gradient, start, args=(cell, m, box), method="L-BFGS-B",
-            jac=True, bounds=bounds,
-        )
-        ends.append(box.clip(res.x))
+        skip.add(start_key)
+        key = (cell_key, start_key)
+        if key not in memo:
+            res = minimize(
+                _value_and_gradient, start, args=(cell, m, box), method="L-BFGS-B",
+                jac=True, bounds=bounds,
+            )
+            memo[key] = box.clip(res.x)
+        ends.append(memo[key])
     return ends
-
-
-# The deterministic candidates of ``locate`` (its starts and their descent
-# ends) by the bytes of the cell's members and the incumbent, kept for one
-# ``plan_placement`` call and None outside it.  A context variable, so that
-# ``locate`` keeps its signature and each planner call has its own memo.
-_WEBER_MEMO: ContextVar[dict | None] = ContextVar("weber_memo", default=None)
 
 
 def locate(
@@ -203,6 +207,7 @@ def locate(
     incumbent: np.ndarray,
     rng: np.random.Generator | None = None,
     n_restarts: int = 5,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Weber step: a box-constrained minimizer of the cell's total m.
 
@@ -219,9 +224,10 @@ def locate(
     rises from its one-iteration floor with a logarithmic cusp (infinite
     slope) at zero shift, which makes every member a strict local minimum of
     the cell total, and a descent from it returns its start after a failed
-    line search.  Within one ``plan_placement`` call the deterministic
-    candidates are reused for a repeated (members, incumbent) pair; the
-    random restarts are drawn and descended from on every call.
+    line search.  ``memo`` keeps descent ends by (cell, start) bytes;
+    ``plan_placement`` passes one dict per call, so a repeated cell reuses
+    its centroid's descent even after its incumbent moved.  Without a memo
+    every descent runs.
     """
     cell = np.atleast_2d(np.asarray(cell, dtype=float))
     if cell.shape[0] == 0:
@@ -230,18 +236,13 @@ def locate(
         rng = np.random.default_rng(0)
     incumbent = np.asarray(incumbent, dtype=float)
 
-    memo = _WEBER_MEMO.get()
-    key = (cell.tobytes(), incumbent.tobytes())
-    deterministic = None if memo is None else memo.get(key)
-    if deterministic is None:
-        member_picks = sorted({0, cell.shape[0] // 2, cell.shape[0] - 1})
-        starts = np.vstack([incumbent, cell.mean(axis=0), cell[member_picks]])
-        deterministic = np.vstack([starts, *_descent_ends(cell, m, box, starts)])
-        if memo is not None:
-            memo[key] = deterministic
-
+    member_picks = sorted({0, cell.shape[0] // 2, cell.shape[0] - 1})
+    starts = np.vstack([incumbent, cell.mean(axis=0), cell[member_picks]])
     restarts = rng.uniform(box.lo, box.hi, size=(n_restarts, box.dims))
-    candidates = np.vstack([deterministic, restarts, *_descent_ends(cell, m, box, restarts)])
+    candidates = np.vstack([
+        starts, *_descent_ends(cell, m, box, starts, memo),
+        restarts, *_descent_ends(cell, m, box, restarts, memo),
+    ])
     totals = _cell_totals(cell, candidates, m)
     best = int(np.argmin(totals))
     return candidates[best], bool(totals[best] < totals[0] - 1e-12)
@@ -304,19 +305,17 @@ def greedy_init(
 
     _, vals = allocate(points, np.vstack(locations), m)
     trace = [_objective(cost_ratio, fixed_mask, vals)]
-    costs = [np.inf, trace[0]]
     added = 0
     cap = points.shape[0] + 2
     while added < cap:
-        if len(costs) >= 3 and costs[-1] > costs[-2] > costs[-3]:
+        if len(trace) >= 3 and trace[-1] > trace[-2] > trace[-3]:
             break
         pick = int(np.argmax(vals))
         locations.append(points[pick].copy())
         fixed_mask.append(False)
         added += 1
         vals = np.minimum(vals, m(points - points[pick]))
-        costs.append(_objective(cost_ratio, fixed_mask, vals))
-        trace.append(costs[-1])
+        trace.append(_objective(cost_ratio, fixed_mask, vals))
     drop = min(2, added)
     if drop:
         locations = locations[:-drop]
@@ -345,8 +344,8 @@ def plan_placement(
     measured stops once the modeled gain of an iteration falls below its
     own wall-clock cost expressed in iterations (requires ``tau_krylov``),
     so its sweep count depends on how cheap a sweep is: ``locate`` descends
-    only from non-member starts, and within one call it reuses the
-    deterministic candidates of a repeated cell and incumbent.
+    only from non-member starts, and it reuses descent ends from the memo
+    this call owns, keyed by (cell, start).
     A final pruning pass drops chargeable preconditioners whose removal
     lowers the strategy cost (an unused one always qualifies).
     """
@@ -360,11 +359,7 @@ def plan_placement(
     points = targets.points
     box = targets.box
 
-    fixed_arr = (
-        np.asarray(list(pc_fixed), dtype=float).reshape(-1, box.dims)
-        if len(list(pc_fixed))
-        else np.empty((0, box.dims))
-    )
+    fixed_arr = np.asarray(list(pc_fixed), dtype=float).reshape(-1, box.dims)
     locations, fixed_mask, trace = greedy_init(points, m, cost_ratio, fixed_arr, box)
 
     m_floor = float(m(np.zeros((1, box.dims)))[0])
@@ -372,60 +367,57 @@ def plan_placement(
     assignment, per_m = _assign(table)
     sigma_trace = [float(per_m.sum())]
     la_iters = 0
-    token = _WEBER_MEMO.set({})
-    try:
-        for _ in range(la_max_iter):
-            tick = time.perf_counter()
-            prev_total = float(per_m.sum())
-            prev_assignment = assignment
+    memo: dict = {}
+    for _ in range(la_max_iter):
+        tick = time.perf_counter()
+        prev_total = float(per_m.sum())
+        prev_assignment = assignment
 
-            # Re-seed chargeable preconditioners that lost their whole cell:
-            # move each to the currently worst target, once per sweep, and
-            # only when that strictly gains over the metric floor.
-            moved = False
-            present = set(assignment.tolist())
-            for k in range(locations.shape[0]):
-                if k in present or fixed_mask[k]:
-                    continue
-                worst = int(np.argmax(per_m))
-                if per_m[worst] > m_floor + 1e-12:
-                    locations[k] = points[worst].copy()
-                    moved = True
-                    assignment, per_m = allocate(points, locations, m)
-                    present = set(assignment.tolist())
+        # Re-seed chargeable preconditioners that lost their whole cell:
+        # move each to the currently worst target, once per sweep, and
+        # only when that strictly gains over the metric floor.
+        moved = False
+        present = set(assignment.tolist())
+        for k in range(locations.shape[0]):
+            if k in present or fixed_mask[k]:
+                continue
+            worst = int(np.argmax(per_m))
+            if per_m[worst] > m_floor + 1e-12:
+                locations[k] = points[worst].copy()
+                moved = True
+                assignment, per_m = allocate(points, locations, m)
+                present = set(assignment.tolist())
 
-            shifted = 0.0
-            for k in range(locations.shape[0]):
-                if fixed_mask[k]:
-                    continue
-                members = points[assignment == k]
-                if members.shape[0] == 0:
-                    continue
-                new_loc, _ = locate(members, m, box, locations[k], rng, n_restarts)
-                shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
-                locations[k] = new_loc
+        shifted = 0.0
+        for k in range(locations.shape[0]):
+            if fixed_mask[k]:
+                continue
+            members = points[assignment == k]
+            if members.shape[0] == 0:
+                continue
+            new_loc, _ = locate(members, m, box, locations[k], rng, n_restarts, memo=memo)
+            shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
+            locations[k] = new_loc
 
-            table = _metric_table(points, locations, m)
-            assignment, per_m = _assign(table)
-            la_iters += 1
-            sigma_trace.append(float(per_m.sum()))
-            gain = prev_total - float(per_m.sum())
-            stable = (
-                not moved
-                and shifted <= 1e-12
-                and np.array_equal(assignment, prev_assignment)
-            )
-            if stable:
+        table = _metric_table(points, locations, m)
+        assignment, per_m = _assign(table)
+        la_iters += 1
+        sigma_trace.append(float(per_m.sum()))
+        gain = prev_total - float(per_m.sum())
+        stable = (
+            not moved
+            and shifted <= 1e-12
+            and np.array_equal(assignment, prev_assignment)
+        )
+        if stable:
+            break
+        if mode == "synthetic":
+            if gain < rel_improvement_floor * max(prev_total, 1.0):
                 break
-            if mode == "synthetic":
-                if gain < rel_improvement_floor * max(prev_total, 1.0):
-                    break
-            else:
-                step_cost = time_gain_kappa * (time.perf_counter() - tick) / tau_krylov
-                if gain < step_cost:
-                    break
-    finally:
-        _WEBER_MEMO.reset(token)
+        else:
+            step_cost = time_gain_kappa * (time.perf_counter() - tick) / tau_krylov
+            if gain < step_cost:
+                break
 
     kept, assignment, per_m = _prune(table, fixed_mask, assignment, per_m, cost_ratio)
     locations, fixed_mask = locations[kept], fixed_mask[kept]

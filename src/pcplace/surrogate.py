@@ -445,11 +445,7 @@ class TrainedSurrogate:
     def from_json_dict(cls, doc: dict) -> "TrainedSurrogate":
         if doc.get("format_version") != 1:
             raise ValueError("unsupported surrogate document version")
-        profile = AnisotropyProfile(
-            np.asarray(doc["gamma"]),
-            np.asarray(doc["corr_lengths"]),
-            float(doc["domain_diameter"]),
-        )
+        profile = AnisotropyProfile(np.asarray(doc["gamma"]), float(doc["domain_diameter"]))
         prior = SurrogatePrior(
             WeightMatrix(np.asarray(doc["b_weight"])),
             WeightMatrix(np.asarray(doc["d_weight"])),

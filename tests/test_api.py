@@ -1,7 +1,9 @@
 """Every exported name resolves, and so does every name the demos import.
 
 The demos are read with ``ast``, not run: a stale export or a demo that
-imports a deleted function fails here in milliseconds.
+imports a deleted function fails here in milliseconds.  The traced
+benchmark's wrapped names must resolve too, and a golden run must reach
+each of them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from pathlib import Path
 import pytest
 
 import pcplace
+from pcplace import harness
+from pcplace.harness import ExperimentConfig
+from test_golden_reports import GOLDEN_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -65,16 +70,43 @@ def test_demo_imports_resolve(demo):
     assert not missing
 
 
-def test_traced_benchmark_sites_resolve(monkeypatch):
-    # the traced benchmark wraps each site through ``owner.__dict__[attr]``,
-    # so a name must stay defined or imported at exactly that owner
+def _load_spans(monkeypatch):
+    """The traced benchmark's span recorder, ``bench/spans.py``."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_benchmark_sites_resolve(monkeypatch):
+    # the traced benchmark wraps each site through ``owner.__dict__[attr]``,
+    # so a name must stay defined or imported at exactly that owner
+    spans = _load_spans(monkeypatch)
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for _, owner, attr, _ in spans._SITES
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+# Traced names that a pipeline run no longer reaches, with the reason.
+UNREACHED_SITES = {
+    "helmholtz.assemble_operator": "still defined, but the per-mesh Assembler does not call it",
+    "helmholtz.apply_sound_soft": "still defined, but the per-mesh Assembler does not call it",
+}
+
+
+def test_golden_run_reaches_every_traced_site(monkeypatch):
+    # a refactor that routes around a traced name would otherwise show up
+    # only as a zero per-layer metric in the traced benchmark
+    spans = _load_spans(monkeypatch)
+    recorder = spans.Recorder("golden_affine")
+    recorder.install()
+    try:
+        harness.run_pipeline(ExperimentConfig.from_dict(GOLDEN_CONFIGS["golden_affine"]))
+    finally:
+        recorder.uninstall()
+    recorded = {span.name for span in recorder.spans}
+    assert {name for name, *_ in spans._SITES} - recorded == set(UNREACHED_SITES)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pcplace.param_space import (
     AnisotropyProfile,
@@ -164,11 +164,14 @@ class TestAnisotropyProfile:
             assert np.all(prof.corr_lengths >= prof.domain_diameter - 1e-12)
             assert_allclose(prof.corr_lengths[np.argmax(prof.gamma)], 2.0)
 
+    def test_lengths_derived_from_gamma(self):
+        gamma = np.array([0.3, 1.7, 0.9])
+        prof = AnisotropyProfile(gamma, 2.5)
+        assert_array_equal(prof.corr_lengths, 2.5 * gamma.max() / gamma)
+        with pytest.raises(ValueError):
+            AnisotropyProfile(np.array([1.0, 0.0]), 2.0)
+
     def test_dead_dimension_rejected(self):
         b = WeightMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             anisotropy_profile(b, WeightMatrix.zero(2), 0.0, 1.0, 2.0)
-
-    def test_profile_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            AnisotropyProfile(np.array([1.0, 2.0]), np.array([2.0, 2.0]), 2.0)

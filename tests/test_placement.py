@@ -1,4 +1,3 @@
-import contextvars
 import copy
 import itertools
 
@@ -264,6 +263,37 @@ class TestLocate:
         assert cell_totals(cell, loc[None], m)[0] == scored[-1].min()
 
 
+    def test_memo_reuses_a_descent_across_incumbents(self, monkeypatch):
+        starts = []
+        scipy_minimize = placement.minimize
+
+        def counting_minimize(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return scipy_minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(placement, "minimize", counting_minimize)
+        rng = np.random.default_rng(6)
+        box = ParamBox.symmetric_unit(2)
+        cell = rng.uniform(-1, 1, size=(5, 2))
+        m = iteration_map_m(1.0)
+        incumbents = [np.array([0.9, -0.9]), np.array([-0.8, 0.7])]
+        calls = [(cell, incumbents[0]), (cell, incumbents[1]), (cell[:-1], incumbents[1])]
+        fresh = [locate(c, m, box, inc, n_restarts=0) for c, inc in calls]
+        memo, runs, shared = {}, [], []
+        for c, inc in calls:
+            before = len(starts)
+            shared.append(locate(c, m, box, inc, n_restarts=0, memo=memo))
+            runs.append(len(starts) - before)
+        # the second call shares the cell and so the centroid's descent, and
+        # runs only the one from its own incumbent; the third shares that
+        # incumbent but not the cell, so it runs both of its own
+        assert runs == [2, 1, 2]
+        assert_array_equal(starts[-3], incumbents[1])
+        for (loc, improved), (fresh_loc, fresh_improved) in zip(shared, fresh):
+            assert_array_equal(loc, fresh_loc)
+            assert improved == fresh_improved
+
+
 class TestPrune:
     @staticmethod
     def allocate_pruning(points, locations, fixed_mask, assignment, per_m, m, ratio):
@@ -356,6 +386,19 @@ class TestGreedyInit:
         added = len(trace) - 1
         assert locs.shape[0] == 1 + added - 2
         assert not fixed_mask[0] and locs.shape[0] >= 1
+
+    def test_stops_on_the_second_consecutive_rise(self):
+        # every insertion costs more than it saves: the first two rise,
+        # so the loop stops there and keeps only the seed
+        pts = np.array([[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
+        box = ParamBox.symmetric_unit(2)
+        locs, fixed_mask, trace = greedy_init(
+            pts, floored_scaled_m(2.0), cost_ratio=1e3,
+            fixed_locations=np.empty((0, 2)), box=box,
+        )
+        assert len(trace) == 3 and trace[2] > trace[1] > trace[0]
+        assert_array_equal(locs, box.center[None])
+        assert not fixed_mask[0]
 
     def test_fixed_locations_not_charged(self):
         pts = np.array([[0.9, 0.9]])
@@ -476,6 +519,18 @@ class TestPlanPlacement:
             plan.estimated_cost, plan.assigned_m.sum()
         )
 
+    def test_fixed_locations_from_a_generator(self):
+        rng = np.random.default_rng(10)
+        targets = make_set(rng.uniform(-0.2, 0.2, size=(12, 2)))
+        m = floored_scaled_m(4.0)
+        fixed = [np.zeros(2)]
+        from_list = plan_placement(targets, m, cost_ratio=50.0, pc_fixed=fixed, seed=0)
+        from_generator = plan_placement(
+            targets, m, cost_ratio=50.0, pc_fixed=(loc for loc in fixed), seed=0
+        )
+        assert from_generator.to_json_dict() == from_list.to_json_dict()
+        assert from_generator.fixed_mask.tolist() == [True]
+
     def test_memo_skips_repeated_descents_and_keeps_the_plan(self, monkeypatch):
         grid = np.linspace(-1, 1, 7)
         targets = make_set(np.array([[a, b] for a in grid for b in grid]))
@@ -492,14 +547,15 @@ class TestPlanPlacement:
         def plan(fresh):
             seen, repeated = set(), []
 
-            def recording_locate(cell, m, box, incumbent, rng, n_restarts):
+            def recording_locate(cell, m, box, incumbent, rng, n_restarts, memo):
                 expected = copy.deepcopy(rng)
                 expected.uniform(size=n_restarts * box.dims)
                 key = (cell.tobytes(), incumbent.tobytes())
                 before = len(descents)
-                # an empty context has no memo: the call is made fresh
-                run = contextvars.Context().run if fresh else (lambda f, *a: f(*a))
-                out = run(real_locate, cell, m, box, incumbent, rng, n_restarts)
+                # without the planner's memo every call is made fresh
+                out = real_locate(
+                    cell, m, box, incumbent, rng, n_restarts, memo=None if fresh else memo
+                )
                 assert rng.bit_generator.state == expected.bit_generator.state
                 if key in seen:
                     repeated.append(len(descents) - before)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pcplace.krylov import CostPolicy
 from pcplace.param_space import (
@@ -516,3 +516,4 @@ class TestSerialization:
         )
         assert back.m_max == surr.m_max
         assert back.evaluated == surr.evaluated
+        assert_array_equal(back.gp.prior.profile.corr_lengths, surr.gp.prior.profile.corr_lengths)
