@@ -379,17 +379,20 @@ def place(
             assigned_m=np.zeros(0),
             estimated_cost=0.0,
         )
+    policy = exp.cost_policy()
     return plan_placement(
         remaining,
         surrogate.expected_iterations,
         cost_ratio=surrogate.m_max,
         pc_fixed=[surrogate.ybar],
         seed=exp.seed,
-        mode=exp.cost_mode,
-        tau_krylov=surrogate.tau_krylov,
+        # a sweep must gain a share of the total (modeled costs) or its own
+        # wall time in iterations, scaled by kappa (measured costs)
+        sweep_price=lambda total, seconds: policy.stage_cost(
+            exp.rel_improvement_floor * max(total, 1.0),
+            exp.kappa * seconds / surrogate.tau_krylov,
+        ),
         la_max_iter=exp.la_max_iter,
-        rel_improvement_floor=exp.rel_improvement_floor,
-        time_gain_kappa=exp.kappa,
         n_restarts=exp.n_restarts,
     )
 

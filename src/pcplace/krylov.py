@@ -308,7 +308,7 @@ class CostPolicy:
         return report.krylov_time
 
     def stage_cost(self, modeled: float, wall: float) -> float:
-        """Cost of a whole stage: its modeled cost, or its wall time."""
+        """Cost of a whole stage: its modeled cost, or the one its wall time gives."""
         return modeled if self.mode == "synthetic" else wall
 
     def n_ratio(

@@ -12,10 +12,13 @@ the assigned solves.  Already-built (fixed) preconditioners are sunk cost:
 they participate in assignment but are neither charged nor moved.
 
 The count comes from greedy insertion at the currently worst target until
-the cost rises twice in a row (the last two insertions are then discarded);
-locations are refined by alternating generalized-Voronoi allocation with
-per-cell Weber re-centering, and preconditioners whose removal lowers the
-cost are pruned at the end.
+the cost rises twice in a row (the last two insertions are then discarded).
+Locations are refined by location-allocation: alternating generalized-Voronoi
+allocation with per-cell Weber re-centering, until a sweep moves nothing or
+gains less than the caller's price for a sweep.  Preconditioners whose
+removal lowers the cost are pruned at the end; that includes every
+chargeable one whose cell a sweep emptied, since dropping it leaves every
+assignment as it is and saves one build.
 
 The Weber step scores cell members as candidates but starts no descent
 from them: an iteration-count metric has a logarithmic cusp at zero
@@ -260,7 +263,6 @@ def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
     into them and the per-target m values.
     """
     kept = np.arange(table.shape[1])
-    rows = np.arange(table.shape[0])
     while kept.size > 1:
         current = _objective(cost_ratio, fixed_mask[kept], per_m)
         best_cost, best_state = current, None
@@ -268,8 +270,7 @@ def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
             if fixed_mask[k]:
                 continue
             trial_kept = kept[kept != k]
-            trial_assignment = np.argmin(table[:, trial_kept], axis=1)
-            trial_m = table[rows, trial_kept[trial_assignment]]
+            trial_assignment, trial_m = _assign(table[:, trial_kept])
             trial_cost = _objective(cost_ratio, fixed_mask[trial_kept], trial_m)
             if trial_cost < best_cost - 1e-12:
                 best_cost = trial_cost
@@ -329,32 +330,24 @@ def plan_placement(
     cost_ratio: float,
     pc_fixed=(),
     seed: int = 0,
-    mode: str = "synthetic",
-    tau_krylov: float | None = None,
+    sweep_price=lambda total, seconds: 1e-4 * max(total, 1.0),
     la_max_iter: int = 50,
-    rel_improvement_floor: float = 1e-4,
-    time_gain_kappa: float = 1.0,
     n_restarts: int = 5,
 ) -> PlacementPlan:
     """Full placement: greedy count selection, location-allocation, pruning.
 
-    ``m`` maps parameter shifts (rows) to iteration counts.  ``mode``
-    picks the stopping rule of the location-allocation loop: synthetic
-    runs a fixed iteration budget with a relative-improvement floor;
-    measured stops once the modeled gain of an iteration falls below its
-    own wall-clock cost expressed in iterations (requires ``tau_krylov``),
-    so its sweep count depends on how cheap a sweep is: ``locate`` descends
-    only from non-member starts, and it reuses descent ends from the memo
-    this call owns, keyed by (cell, start).
+    ``m`` maps parameter shifts (rows) to iteration counts.  Each sweep
+    re-centers every non-empty chargeable cell at its Weber point
+    (``locate``, sharing one descent memo keyed by (cell, start)) and
+    reallocates.  The sweeps stop when nothing moved, after ``la_max_iter``
+    sweeps, or when a sweep gains fewer iterations than
+    ``sweep_price(total_before, sweep_seconds)``; the default price is
+    ``1e-4 * max(total_before, 1.0)``.
     A final pruning pass drops chargeable preconditioners whose removal
-    lowers the strategy cost (an unused one always qualifies).
+    lowers the strategy cost; one left with an empty cell always goes.
     """
     if len(targets) == 0:
         raise ValueError("cannot place preconditioners for an empty target set")
-    if mode not in ("synthetic", "measured"):
-        raise ValueError("mode must be 'synthetic' or 'measured'")
-    if mode == "measured" and (tau_krylov is None or tau_krylov <= 0):
-        raise ValueError("measured mode needs a positive tau_krylov")
     rng = np.random.default_rng(seed)
     points = targets.points
     box = targets.box
@@ -362,31 +355,14 @@ def plan_placement(
     fixed_arr = np.asarray(list(pc_fixed), dtype=float).reshape(-1, box.dims)
     locations, fixed_mask, trace = greedy_init(points, m, cost_ratio, fixed_arr, box)
 
-    m_floor = float(m(np.zeros((1, box.dims)))[0])
     table = _metric_table(points, locations, m)
     assignment, per_m = _assign(table)
     sigma_trace = [float(per_m.sum())]
-    la_iters = 0
     memo: dict = {}
     for _ in range(la_max_iter):
         tick = time.perf_counter()
-        prev_total = float(per_m.sum())
+        prev_total = sigma_trace[-1]
         prev_assignment = assignment
-
-        # Re-seed chargeable preconditioners that lost their whole cell:
-        # move each to the currently worst target, once per sweep, and
-        # only when that strictly gains over the metric floor.
-        moved = False
-        present = set(assignment.tolist())
-        for k in range(locations.shape[0]):
-            if k in present or fixed_mask[k]:
-                continue
-            worst = int(np.argmax(per_m))
-            if per_m[worst] > m_floor + 1e-12:
-                locations[k] = points[worst].copy()
-                moved = True
-                assignment, per_m = allocate(points, locations, m)
-                present = set(assignment.tolist())
 
         shifted = 0.0
         for k in range(locations.shape[0]):
@@ -401,23 +377,12 @@ def plan_placement(
 
         table = _metric_table(points, locations, m)
         assignment, per_m = _assign(table)
-        la_iters += 1
         sigma_trace.append(float(per_m.sum()))
-        gain = prev_total - float(per_m.sum())
-        stable = (
-            not moved
-            and shifted <= 1e-12
-            and np.array_equal(assignment, prev_assignment)
-        )
-        if stable:
+        if shifted <= 1e-12 and np.array_equal(assignment, prev_assignment):
             break
-        if mode == "synthetic":
-            if gain < rel_improvement_floor * max(prev_total, 1.0):
-                break
-        else:
-            step_cost = time_gain_kappa * (time.perf_counter() - tick) / tau_krylov
-            if gain < step_cost:
-                break
+        price = sweep_price(prev_total, time.perf_counter() - tick)
+        if prev_total - sigma_trace[-1] < price:
+            break
 
     kept, assignment, per_m = _prune(table, fixed_mask, assignment, per_m, cost_ratio)
     locations, fixed_mask = locations[kept], fixed_mask[kept]
@@ -431,5 +396,5 @@ def plan_placement(
         estimated_cost=_objective(cost_ratio, fixed_mask, per_m),
         greedy_cost_trace=trace,
         sigma_m_trace=sigma_trace,
-        la_iterations=la_iters,
+        la_iterations=len(sigma_trace) - 1,
     )

@@ -445,6 +445,10 @@ class TrainedSurrogate:
     def from_json_dict(cls, doc: dict) -> "TrainedSurrogate":
         if doc.get("format_version") != 1:
             raise ValueError("unsupported surrogate document version")
+        # tau_krylov = tau_pc / m_max prices the planner's sweeps
+        for key in ("tau_pc", "m_max"):
+            if not float(doc[key]) > 0:
+                raise ValueError(f"surrogate document needs a positive '{key}'")
         profile = AnisotropyProfile(np.asarray(doc["gamma"]), float(doc["domain_diameter"]))
         prior = SurrogatePrior(
             WeightMatrix(np.asarray(doc["b_weight"])),

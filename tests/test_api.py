@@ -1,9 +1,10 @@
 """Every exported name resolves, and so does every name the demos import.
 
-The demos are read with ``ast``, not run: a stale export or a demo that
-imports a deleted function fails here in milliseconds.  The traced
-benchmark's wrapped names must resolve too, and a golden run must reach
-each of them.
+The demos' imports are read with ``ast``: a stale export or a demo that
+imports a deleted function fails here in milliseconds.  Each demo is also
+run once, so a changed signature it calls fails too.  The traced
+benchmark's wrapped names must resolve, and a golden run must reach each
+of them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +71,17 @@ def test_demo_imports_resolve(demo):
         if not hasattr(importlib.import_module(node.module), alias.name)
     ]
     assert not missing
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # from an empty directory: demos 02 and 05 write their outputs to the cwd
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _load_spans(monkeypatch):

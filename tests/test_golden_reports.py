@@ -16,6 +16,7 @@ and say in the change log why they moved.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from pathlib import Path
@@ -84,6 +85,18 @@ def test_report_matches_golden_bytes(name, tmp_path):
     fresh = tmp_path / f"{name}.json"
     _write(name, fresh)
     assert fresh.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+def test_kappa_prices_sweeps_only_in_measured_mode(tmp_path):
+    # kappa scales a sweep's wall time; modeled costs never read it, so a
+    # price no sweep could pay leaves the synthetic report as it was
+    doc = copy.deepcopy(GOLDEN_CONFIGS["golden_affine"])
+    doc["placement"]["kappa"] = 1e30
+    report, _, plan = run_pipeline(ExperimentConfig.from_dict(doc))
+    fresh = tmp_path / "golden_affine.json"
+    emit_report(report, "json", fresh)
+    assert fresh.read_bytes() == (DATA / "golden_affine.json").read_bytes()
+    assert plan.la_iterations == 2
 
 
 def _load(name: str) -> dict:

@@ -294,6 +294,28 @@ class TestPipeline:
         assert report.t_tot > 0
         assert "wall_seconds" in report.to_json_dict()
 
+    def test_measured_sweep_price_is_scaled_wall_time(self, monkeypatch):
+        prices, plan_placement = [], harness.plan_placement
+
+        def recording_plan(*args, sweep_price, **kwargs):
+            prices.append(sweep_price)
+            return plan_placement(*args, sweep_price=sweep_price, **kwargs)
+
+        monkeypatch.setattr(harness, "plan_placement", recording_plan)
+        exp = small_affine_config(
+            n_points=12,
+            cost={"mode": "measured", "c_build": 1e-4, "c_iter": 1e-6},
+            placement={"kappa": 1e30},
+        )
+        _, surrogate, plan = run_pipeline(exp)
+        assert plan.la_iterations == 1
+        (price,) = prices
+        assert price(1e9, 0.5) == 1e30 * 0.5 / surrogate.tau_krylov
+        # modeled costs price a sweep by the total alone, whatever kappa is
+        synthetic = replace(exp, cost_mode="synthetic")
+        harness.place(synthetic, surrogate, sample_parameter_set(exp))
+        assert prices[1](250.0, 0.5) == 1e-4 * 250.0
+
     def test_pipeline_never_worse_than_baselines(self):
         exp = ExperimentConfig.from_dict(
             {
@@ -520,6 +542,21 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg)]) == 0
         assert cli_main(["place", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "plan.json").exists()
+
+    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
+    def test_place_rejects_a_surrogate_with_a_zero_cost(self, tmp_path, capsys, key):
+        # tau_pc / m_max prices the planner's sweeps, so a zero would divide by zero
+        cfg = self._config_file(tmp_path, n_points=8)
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "surrogate.json").read_text())
+        doc[key] = 0.0
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli_main(["place", "--config", str(cfg), "--surrogate", str(doctored)])
+        assert code == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "plan.json").exists()
 
     def test_baseline_and_report_conversion(self, tmp_path):
         cfg = self._config_file(tmp_path)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -572,6 +573,48 @@ class TestPlanPlacement:
         assert sum(fresh_repeated) > sum(memo_repeated)
         assert_array_equal(memo_plan.pc_locations, fresh_plan.pc_locations)
         assert memo_plan.to_json_dict() == fresh_plan.to_json_dict()
+
+    def test_emptied_cell_is_pruned(self, monkeypatch):
+        # the first sweep leaves a chargeable preconditioner without a cell;
+        # dropping it keeps every assignment and saves one build
+        targets = make_set(
+            [(-0.7, -0.2), (-0.3, 0.7), (-0.2, -0.8), (0.9, 0.2), (-0.8, -0.8), (-0.1, -0.8)]
+        )
+        handed_over, real_prune = [], placement._prune
+
+        def watched_prune(table, fixed_mask, assignment, *args):
+            handed_over.append((table.shape[1], set(assignment.tolist())))
+            return real_prune(table, fixed_mask, assignment, *args)
+
+        monkeypatch.setattr(placement, "_prune", watched_prune)
+        plan = plan_placement(
+            targets, iteration_map_m(0.65), cost_ratio=19.0, seed=0, n_restarts=0
+        )
+        ((n_columns, used),) = handed_over
+        assert len(used) < n_columns
+        assert plan.n_pc == 5
+        assert plan.estimated_cost == 115.63169555398927
+        assert set(plan.assignment.tolist()) == set(range(plan.n_pc))
+        assert np.all(np.diff(plan.sigma_m_trace) <= 0)
+
+    def test_sweep_price_stops_the_sweeps(self):
+        grid = np.linspace(-1, 1, 7)
+        targets = make_set(np.array([[a, b] for a in grid for b in grid]))
+        m = iteration_map_m(0.1)
+        calls = []
+
+        def unpayable(total, seconds):
+            calls.append((total, seconds))
+            return math.inf
+
+        default = plan_placement(targets, m, cost_ratio=30.0, seed=0, n_restarts=2)
+        priced = plan_placement(
+            targets, m, cost_ratio=30.0, seed=0, sweep_price=unpayable, n_restarts=2
+        )
+        assert default.la_iterations >= 2
+        assert priced.la_iterations == 1
+        ((total, seconds),) = calls
+        assert total == priced.sigma_m_trace[0] and seconds >= 0
 
     def test_determinism(self):
         rng = np.random.default_rng(11)

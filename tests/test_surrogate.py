@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -517,3 +519,15 @@ class TestSerialization:
         assert back.m_max == surr.m_max
         assert back.evaluated == surr.evaluated
         assert_array_equal(back.gp.prior.profile.corr_lengths, surr.gp.prior.profile.corr_lengths)
+
+    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_load_rejects_a_non_positive_cost(self, key, value):
+        rng = np.random.default_rng(16)
+        pts = ParamSet(ParamBox.symmetric_unit(1), rng.uniform(-1, 1, size=(6, 1)))
+        prior = make_prior(1, b_diag=[1.0], d_diag=[0.0])
+        surr = train_surrogate_core(pts, synthetic_oracle(pts, prior, (0.0, 0.05)), prior)
+        doc = json.loads(json.dumps(surr.to_json_dict()))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TrainedSurrogate.from_json_dict(doc)
