@@ -20,7 +20,7 @@ print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles (k0 = {cfg.k0})
 # one preconditioner at the center of [-1, 1]^2
 center = np.zeros(2)
 matrix, rhs = assemble(center, family, mesh, cfg)
-pc = lu_factor(matrix, source_param=center)
+pc = lu_factor(matrix)
 print(f"LU factors built in {pc.build_time * 1e3:.1f} ms, nnz = {pc.nnz}")
 
 print("\n shift along the diagonal | GMRES iterations | preconditioned residual")

@@ -70,7 +70,7 @@ CONFIG_SCHEMA = {
                 "kind": {"enum": ["affine", "shape"]},
                 "eta": {
                     "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                     "minItems": 1,
                 },
                 "n_dims": {"type": "integer", "minimum": 1},
@@ -109,6 +109,9 @@ CONFIG_SCHEMA = {
         "output_dir": {"type": "string"},
     },
 }
+
+# built once: jsonschema.validate checks the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 CSV_HEADER = (
     "N,t_train,t_l_al,t_exec,N_pc,it_av,cost_total,cost_mean_based,cost_per_point"
@@ -172,13 +175,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        jsonschema.validate(doc, CONFIG_SCHEMA)
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+        if error is not None:
+            raise error
         fam = doc["family"]
         kind = fam["kind"]
         required = ("eta",) if kind == "affine" else ("n_dims", "amplitude", "decay")
         for key in required:
             if key not in fam:
                 raise ValueError(f"{kind} family config needs '{key}'")
+        for key in fam:
+            if key not in ("kind", *required):
+                raise ValueError(f"{kind} family config does not take '{key}'")
         # flatten the sections; a key the document leaves out keeps its default
         flat = {k: v for k, v in doc.items() if k not in ("family", "cost", "placement")}
         flat.update({key: fam[key] for key in required}, family_kind=kind)
@@ -478,7 +486,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     # available and the surrogate elsewhere
     est = float(sum(r.iterations for r in training if r.position is not None))
     if len(remaining):
-        est += float(np.sum(surrogate.iterations_at(remaining.points)))
+        est += float(np.sum(surrogate.expected_iterations(remaining.points - surrogate.ybar)))
 
     report = _report(
         exp, "pipeline", oracle, n_train, n_ratio,

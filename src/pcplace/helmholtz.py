@@ -43,7 +43,6 @@ __all__ = [
     "mollifier",
     "mollifier_radial",
     "affine_refractive_index",
-    "boundary_mode",
     "boundary_radius",
     "max_safe_amplitude",
     "domain_map",
@@ -58,20 +57,22 @@ __all__ = [
 ]
 
 
+# Propagation direction of the incident plane wave, whose amplitude is 1.
+INCIDENT_DIRECTION = (1.0, 0.0)
+
+
 class DegenerateMapError(ValueError):
     """The domain map lost invertibility at a quadrature point."""
 
 
 @dataclass(frozen=True)
 class HelmholtzConfig:
-    """Geometry, wavenumber and solver settings for the benchmarks."""
+    """Geometry, wavenumber and solver settings; the incident wave is fixed."""
 
     k0: float
     r_in: float = 0.25
     r_out: float = 1.0
     r_mol: float = 0.9
-    incident_direction: tuple[float, float] = (1.0, 0.0)
-    incident_amplitude: float = 1.0
     tol: float = 1e-5
     mesh_constant: float = 2.5
     mesh_size: float | None = None
@@ -84,9 +85,6 @@ class HelmholtzConfig:
             raise ValueError("radii must satisfy 0 < r_in < r_mol < r_out")
         if not 0 < self.tol < 1:
             raise ValueError("GMRES tolerance must lie in (0, 1)")
-        d = np.asarray(self.incident_direction, dtype=float)
-        if d.shape != (2,) or not np.isclose(np.linalg.norm(d), 1.0):
-            raise ValueError("incident direction must be a 2D unit vector")
 
     @property
     def h(self) -> float:
@@ -105,6 +103,7 @@ class HelmholtzConfig:
 class AnnulusMesh:
     """Structured polar triangulation of the reference annulus.
 
+    The mesh keeps no size of its own (``cfg.h`` is its target).
     Precomputed element geometry (areas, P1 gradients, quadrature points,
     outer-edge data) is carried along; the first ``assemble`` call caches
     an ``Assembler`` on the mesh, so repeated assembly over parameter
@@ -115,9 +114,6 @@ class AnnulusMesh:
     triangles: np.ndarray
     inner_boundary: np.ndarray
     outer_boundary: np.ndarray
-    h: float
-    n_r: int
-    n_theta: int
     # element geometry
     areas: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     grads: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -206,9 +202,6 @@ def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
         triangles=triangles,
         inner_boundary=np.arange(n_theta),
         outer_boundary=outer_ring,
-        h=h,
-        n_r=n_r,
-        n_theta=n_theta,
         areas=areas,
         grads=grads,
         quad_points=quad_points,
@@ -361,16 +354,6 @@ def _mode_tables(theta, n_dims: int, amplitude: float, decay: float):
             vals[..., col] = coef * np.cos(freq * th)
             derivs[..., col] = -coef * freq * np.sin(freq * th)
     return vals, derivs
-
-
-def boundary_mode(theta, j: int, family: ProblemFamily):
-    """Single boundary Fourier mode (1-based index) of the shape family."""
-    if family.kind != "shape":
-        raise ValueError("boundary modes apply to the shape family")
-    if not 1 <= j <= family.n_dims:
-        raise ValueError("mode index out of range")
-    vals, _ = _mode_tables(theta, family.n_dims, family.amplitude, family.decay)
-    return vals[..., j - 1]
 
 
 def boundary_radius(y, theta, family: ProblemFamily, cfg: HelmholtzConfig):
@@ -676,12 +659,11 @@ def incident_rhs(mesh: AnnulusMesh, cfg: HelmholtzConfig) -> np.ndarray:
     """Plane-wave excitation integral over the outer boundary.
 
     Assembles int_Gamma (d_normal - i k0) u_in * phi with
-    u_in = amp * exp(i k0 d.x), using 2-point Gauss per polygon edge.
+    u_in = exp(i k0 d.x), d = ``INCIDENT_DIRECTION``, using 2-point Gauss
+    per polygon edge.
     """
     rhs = np.zeros(mesh.n_nodes, dtype=np.complex128)
-    if cfg.incident_amplitude == 0.0:
-        return rhs
-    d = np.asarray(cfg.incident_direction, dtype=float)
+    d = np.asarray(INCIDENT_DIRECTION)
     pa = mesh.nodes[mesh.outer_edges[:, 0]]
     pb = mesh.nodes[mesh.outer_edges[:, 1]]
     tangent = pb - pa
@@ -691,7 +673,7 @@ def incident_rhs(mesh: AnnulusMesh, cfg: HelmholtzConfig) -> np.ndarray:
     gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     for xi in gauss:
         x_q = pa + xi * tangent
-        u_in = cfg.incident_amplitude * np.exp(1j * cfg.k0 * (x_q @ d))
+        u_in = np.exp(1j * cfg.k0 * (x_q @ d))
         data = 1j * cfg.k0 * ((normal @ d) - 1.0) * u_in
         w_q = 0.5 * lengths
         np.add.at(rhs, mesh.outer_edges[:, 0], w_q * data * (1.0 - xi))
@@ -732,7 +714,6 @@ def assemble(
     for this family and cfg.
     """
     return _assembler(family, mesh, cfg)(y)
-
 
 
 def save_mesh(path, mesh: AnnulusMesh) -> None:

@@ -65,9 +65,7 @@ class LuPreconditioner:
     """Sparse LU factors of a reference matrix, applied as its inverse."""
 
     factors: spla.SuperLU
-    source_param: np.ndarray | None
     build_time: float
-    n: int
     nnz: int
     _rhs: np.ndarray | None = field(default=None, init=False, repr=False)
     _image: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -86,7 +84,7 @@ class LuPreconditioner:
         return self._image
 
 
-def lu_factor(matrix, source_param: np.ndarray | None = None) -> LuPreconditioner:
+def lu_factor(matrix) -> LuPreconditioner:
     """Factor a square complex sparse matrix for use as a preconditioner."""
     a = as_complex_csr(matrix)
     start = time.perf_counter()
@@ -105,13 +103,7 @@ def lu_factor(matrix, source_param: np.ndarray | None = None) -> LuPreconditione
     elapsed = time.perf_counter() - start
     if not np.all(np.isfinite(factors.U.diagonal())):
         raise SingularMatrixError("non-finite pivot in U factor")
-    return LuPreconditioner(
-        factors=factors,
-        source_param=None if source_param is None else np.asarray(source_param, float),
-        build_time=elapsed,
-        n=a.shape[0],
-        nnz=a.nnz,
-    )
+    return LuPreconditioner(factors=factors, build_time=elapsed, nnz=a.nnz)
 
 
 @dataclass

@@ -250,17 +250,14 @@ class GpState:
         self._factor = None
         self._weights = None
 
-    def set_coeffs(self, coeffs: tuple[float, float]) -> None:
-        self.coeffs = (float(coeffs[0]), float(coeffs[1]))
-        self._weights = None
-
     def refit_coeffs(self) -> bool:
         """MSE-fit the prior coefficients to the current pairs."""
         coeffs, degenerate = fit_hyperparameters(
             self.deltas, self.alphas, self.prior.b_weight, self.prior.d_weight
         )
         if not degenerate:
-            self.set_coeffs(coeffs)
+            self.coeffs = (float(coeffs[0]), float(coeffs[1]))
+            self._weights = None
         return degenerate
 
     def _prior_at(self, deltas) -> np.ndarray:
@@ -322,19 +319,21 @@ class GpState:
         return mean, np.maximum(var, 0.0)
 
 
+SP_REL_THRESHOLD = 0.01
+SP_ABS_THRESHOLD = 1.0
+
+
 @dataclass
 class SpTracker:
     """Stabilizing-predictions stopping rule on iteration-count surfaces.
 
     Two consecutive surrogates *agree* at a point when their predictions
-    differ by less than 1% relatively or by less than one iteration
-    absolutely; training stops once the trailing mean of the disagree
-    ratio falls below 1%.
+    differ by less than ``SP_REL_THRESHOLD`` (1%) relatively or by less than
+    ``SP_ABS_THRESHOLD`` (one iteration) absolutely; training stops once the
+    mean disagree ratio over the last ``window`` updates falls below 1%.
     """
 
     window: int = 5
-    rel_threshold: float = 0.01
-    abs_threshold: float = 1.0
     history: list[float] = field(default_factory=list)
 
     def update(self, m_old: np.ndarray, m_new: np.ndarray) -> bool:
@@ -343,9 +342,7 @@ class SpTracker:
         if old.shape != new.shape:
             raise ValueError("prediction vectors must cover the same points")
         diff = np.abs(new - old)
-        disagree = (diff >= self.rel_threshold * np.abs(old)) & (
-            diff >= self.abs_threshold
-        )
+        disagree = (diff >= SP_REL_THRESHOLD * np.abs(old)) & (diff >= SP_ABS_THRESHOLD)
         self.history.append(float(np.mean(disagree)) if old.size else 0.0)
         return self.should_stop
 
@@ -354,7 +351,7 @@ class SpTracker:
         if not self.history:
             return False
         tail = self.history[-self.window :]
-        return float(np.mean(tail)) < self.rel_threshold
+        return float(np.mean(tail)) < SP_REL_THRESHOLD
 
 
 @dataclass
@@ -390,10 +387,6 @@ class TrainedSurrogate:
         alpha = np.clip(self.gp.mean(d), ALPHA_MIN, ALPHA_MAX)
         m = np.maximum(1.0, self.iter_map.iters_from_alpha(alpha))
         return m if np.asarray(deltas).ndim > 1 else float(m[0])
-
-    def iterations_at(self, points: np.ndarray) -> np.ndarray:
-        """Convenience: iterations for absolute points against ``ybar``."""
-        return self.expected_iterations(np.atleast_2d(points) - self.ybar)
 
     def acquisition(self, deltas: np.ndarray) -> np.ndarray:
         """Variance-to-cost score, -inf above the break-even cap ``m_max``.
@@ -614,7 +607,7 @@ class FemSolveOracle:
     def build(self, y):
         """Factor the operator at ``y`` into a preconditioner."""
         matrix, _ = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
-        pc = lu_factor(matrix, source_param=y)
+        pc = lu_factor(matrix)
         self.log.append(LogRecord(None, None, 0, True, self.policy.build_cost(pc)))
         return pc
 

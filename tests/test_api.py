@@ -4,7 +4,7 @@ The demos' imports are read with ``ast``: a stale export or a demo that
 imports a deleted function fails here in milliseconds.  Each demo is also
 run once, so a changed signature it calls fails too.  The traced
 benchmark's wrapped names must resolve, and a golden run must reach each
-of them.
+of them.  Every export needs a caller other than the tests.
 """
 
 from __future__ import annotations
@@ -91,6 +91,59 @@ def _load_spans(monkeypatch):
     monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
     return spans
+
+
+# Exports that only the tests use, kept as the references they compare with.
+REFERENCE_ONLY = {
+    "domain_map": "the explicit map and Jacobian the closed-form pull-back is checked against",
+    "contraction_factor": "the dense |I - PA| the Elman-bound tests measure",
+    "weighted_norm": "the one-shift norm batch_weighted_norm is checked against",
+}
+
+
+def _used_names(node, with_strings):
+    """Names and attributes read under ``node``, and its strings if asked."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif with_strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            used.add(sub.value)
+    return used
+
+
+def _defines(node, name):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_export_has_a_caller():
+    # src counts by name, outside the definition itself; demos and bench
+    # also by string, as the traced benchmark names the sites it wraps
+    src = [
+        (path.stem, node, _used_names(node, False))
+        for path in (ROOT / "src" / "pcplace").glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    outside = set()
+    for path in [*DEMOS, *(ROOT / "bench").glob("*.py")]:
+        outside |= _used_names(ast.parse(path.read_text(encoding="utf-8")), True)
+    uncalled = []
+    for module in MODULES:
+        stem = module.rsplit(".", 1)[1]
+        for name in getattr(importlib.import_module(module), "__all__", []):
+            called = name in outside or any(
+                name in used
+                for other, node, used in src
+                if not (other == stem and _defines(node, name))
+            )
+            if not called:
+                uncalled.append(name)
+    assert sorted(uncalled) == sorted(REFERENCE_ONLY)
 
 
 def test_traced_benchmark_sites_resolve(monkeypatch):

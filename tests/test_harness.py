@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from pcplace import harness, krylov, surrogate
 from pcplace.cli import main as cli_main
 from pcplace.harness import (
+    CONFIG_SCHEMA,
     CSV_HEADER,
     ExperimentConfig,
     RunReport,
@@ -34,11 +36,11 @@ def small_affine_config(**overrides):
     return ExperimentConfig.from_dict(doc)
 
 
-def _lu_shifted(matrix, source_param=None):
+def _lu_shifted(matrix):
     """Factor A + 0.05 mean|diag A| I: an inexact preconditioner for A."""
     shift = 0.05 * np.mean(np.abs(matrix.diagonal()))
     eye = sp.identity(matrix.shape[0], format="csr")
-    return krylov.lu_factor(matrix + shift * eye, source_param=source_param)
+    return krylov.lu_factor(matrix + shift * eye)
 
 
 @pytest.fixture
@@ -73,6 +75,44 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"family": {"kind": "other"}, "k0": 5, "n_points": 1}
             )
+
+    def test_schema_is_valid_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": {"kind": "affine", "eta": [0.2]}, "k0": -1, "n_points": 0},
+            {"family": {"kind": "affine", "eta": []}, "k0": 5, "n_points": 1,
+             "cost": {"mode": "exact"}},
+        ],
+    )
+    def test_schema_errors_match_jsonschema_validate(self, doc):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            ExperimentConfig.from_dict(doc)
+        assert str(got.value) == str(want.value)
+
+    def test_schema_rejects_eta_of_one(self):
+        with pytest.raises(jsonschema.ValidationError, match="maximum"):
+            ExperimentConfig.from_dict(
+                {"family": {"kind": "affine", "eta": [1.0]}, "k0": 5, "n_points": 1}
+            )
+
+    @pytest.mark.parametrize(
+        "family, key",
+        [
+            ({"kind": "affine", "eta": [0.5, 0.5], "n_dims": 3}, "n_dims"),
+            ({"kind": "affine", "eta": [0.5], "amplitude": 0.1}, "amplitude"),
+            ({"kind": "affine", "eta": [0.5], "decay": 2}, "decay"),
+            ({"kind": "shape", "n_dims": 2, "amplitude": 0.1, "decay": 2, "eta": [0.5]},
+             "eta"),
+        ],
+    )
+    def test_family_keys_of_the_other_kind_rejected(self, family, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig.from_dict({"family": family, "k0": 5, "n_points": 1})
 
     def test_affine_requires_eta(self):
         with pytest.raises(ValueError):
@@ -119,8 +159,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "family, required",
         [
-            ({"kind": "affine", "eta": [0.5, 2]},
-             dict(family_kind="affine", n_dims=2, eta=(0.5, 2.0))),
+            ({"kind": "affine", "eta": [0.5, 0.75]},
+             dict(family_kind="affine", n_dims=2, eta=(0.5, 0.75))),
             ({"kind": "shape", "n_dims": 3, "amplitude": 1, "decay": 2},
              dict(family_kind="shape", n_dims=3, amplitude=1.0, decay=2.0)),
         ],
@@ -134,7 +174,7 @@ class TestConfig:
     def test_every_key_reaches_its_field(self):
         exp = ExperimentConfig.from_dict(
             {
-                "family": {"kind": "affine", "eta": [0.3], "n_dims": 5},
+                "family": {"kind": "affine", "eta": [0.3]},
                 "k0": 6,
                 "n_points": 3,
                 "sampling": "halton",
@@ -567,6 +607,19 @@ class TestCli:
             ["report", "--in", str(src), "--format", "csv", "--out", str(dst)]
         ) == 0
         assert dst.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_eta_of_one_fails_before_the_output_directory(self, tmp_path, capsys):
+        doc = {
+            "family": {"kind": "affine", "eta": [1.0]},
+            "k0": 5.0,
+            "n_points": 5,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = cli_main(["run", "--config", str(tmp_path / "nope.json")])

@@ -58,9 +58,8 @@ class TestLuFactor:
             lu_factor(sp.csr_matrix(np.zeros((3, 3))))
 
     def test_records_build_time_and_source(self):
-        pc = lu_factor(sp.eye(4, format="csr"), source_param=np.array([0.5]))
+        pc = lu_factor(sp.eye(4, format="csr"))
         assert pc.build_time >= 0.0
-        assert_allclose(pc.source_param, [0.5])
 
     def test_non_finite_pivot_raises(self):
         a = sp.csr_matrix(np.array([[np.inf, 1.0], [1.0, 1.0]], dtype=complex))
@@ -350,9 +349,7 @@ class TestElmanBound:
 
 
 def priced_pc():
-    return LuPreconditioner(
-        factors=None, source_param=None, build_time=0.028, n=6_300, nnz=41_850
-    )
+    return LuPreconditioner(factors=None, build_time=0.028, nnz=41_850)
 
 
 def priced_solve():

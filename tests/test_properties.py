@@ -100,12 +100,8 @@ def cusp_cells(draw):
     return cell, weight, c
 
 
-@settings(max_examples=100, deadline=None)
-@given(cusp_cells(), st.data())
-def test_descent_from_a_member_returns_it(instance, data):
-    # the premise of locate's member skip: the cusp of the iteration map at
-    # zero shift makes every member a strict local minimum of the cell total
-    cell, weight, c = instance
+def _descent_end(cell, weight, c, member):
+    """Where L-BFGS-B, started at ``member``, leaves the cell total of m."""
 
     def m(deltas):
         # the cap keeps m moderate (at most 195): a far member costing
@@ -116,9 +112,33 @@ def test_descent_from_a_member_returns_it(instance, data):
         return np.maximum(1.0, ITER_MAP.iters_from_alpha(alpha))
 
     box = ParamBox.symmetric_unit(cell.shape[1])
-    member = cell[data.draw(st.integers(0, cell.shape[0] - 1))]
     res = minimize(
         _value_and_gradient, member, args=(cell, m, box), method="L-BFGS-B",
         jac=True, bounds=list(zip(box.lo, box.hi)),
     )
-    assert np.array_equal(res.x, member)
+    return res.x
+
+
+@settings(max_examples=100, deadline=None)
+@given(cusp_cells(), st.data())
+def test_descent_from_a_member_returns_it(instance, data):
+    # the premise of locate's member skip: the cusp of the iteration map at
+    # zero shift keeps a descent from a member at its start
+    cell, weight, c = instance
+    member = cell[data.draw(st.integers(0, cell.shape[0] - 1))]
+    assert np.array_equal(_descent_end(cell, weight, c, member), member)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a finite-difference step stays in the one-iteration floor"
+)
+def test_descent_leaves_a_member_in_the_floor_band():
+    # An instance the search above can draw.  Along y_2 the weight is
+    # 2^-46, so the 1e-8 step moves the member's own alpha by about 1e-15,
+    # inside the floor (alpha < alpha_from_iters(1), about 2.5e-11): the
+    # member shows no slope there and the other members pull it to
+    # [1, -3.4e-5], for a gain of 1.1e-9 iterations.
+    cell = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.75, 0.0], [1.0, 0.0]])
+    weight = np.outer([1.0, 2.0**-23], [1.0, 2.0**-23])
+    member = cell[4]
+    assert np.array_equal(_descent_end(cell, weight, 1.0, member), member)
