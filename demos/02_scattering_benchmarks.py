@@ -59,4 +59,4 @@ print("  pullback refraction:", round(float(n_coef), 4))
 
 # anisotropy metadata drives the surrogate: mode 1 dominates, so its
 # kernel correlation length is the domain diameter and later modes relax
-print("\nkernel correlation lengths (shape family):", np.round(fam_s.profile.corr_lengths, 2))
+print("\nkernel correlation lengths (shape family):", np.round(fam_s.prior.profile.corr_lengths, 2))

@@ -11,7 +11,7 @@ final prune drops any preconditioner that stopped paying for itself.
 import numpy as np
 
 from pcplace import ParamBox, ParamSet, plan_placement
-from pcplace.placement import allocate, strategy_cost
+from pcplace.placement import allocate
 
 rng = np.random.default_rng(3)
 cluster_a = rng.normal([-0.65, -0.65], 0.07, size=(12, 2))
@@ -33,7 +33,7 @@ print(f"\nfinal count: {plan.n_pc} preconditioners")
 for k, loc in enumerate(plan.pc_locations):
     size = int(np.sum(plan.assignment == k))
     print(f"  pc {k} at [{loc[0]: .3f}, {loc[1]: .3f}] serves {size} targets")
-print(f"modeled strategy cost: {strategy_cost(plan, 8.0):.1f} iteration units")
+print(f"modeled strategy cost: {plan.estimated_cost:.1f} iteration units")
 
 mean_cost = 8.0 + float(np.sum(m(points)))
 per_point_cost = len(targets) * (8.0 + 1.0)

@@ -37,13 +37,12 @@ from .krylov import (
     gmres_left,
     lu_factor,
 )
-from .param_space import AnisotropyProfile, ParamBox, ParamSet, WeightMatrix
-from .placement import PlacementPlan, allocate, locate, plan_placement, strategy_cost
+from .param_space import AnisotropyProfile, ParamBox, ParamSet, SurrogatePrior, WeightMatrix
+from .placement import PlacementPlan, allocate, locate, plan_placement
 from .surrogate import (
     GpState,
     IterationMap,
     SpTracker,
-    SurrogatePrior,
     TrainedSurrogate,
     train_surrogate_core,
 )

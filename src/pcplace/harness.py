@@ -35,7 +35,6 @@ from .param_space import ParamBox, ParamSet
 from .placement import PlacementPlan, plan_placement
 from .surrogate import (
     FemSolveOracle,
-    SurrogatePrior,
     TrainedSurrogate,
     _running_total,
     train_surrogate_core,
@@ -113,9 +112,19 @@ CONFIG_SCHEMA = {
 # built once: jsonschema.validate checks the schema itself on every call
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
-CSV_HEADER = (
-    "N,t_train,t_l_al,t_exec,N_pc,it_av,cost_total,cost_mean_based,cost_per_point"
+# (CSV column, RunReport field) of the summary row
+_CSV_COLUMNS = (
+    ("N", "n_dims"),
+    ("t_train", "t_train"),
+    ("t_l_al", "t_l_al"),
+    ("t_exec", "t_exec"),
+    ("N_pc", "n_pc"),
+    ("it_av", "it_av"),
+    ("cost_total", "cost_total"),
+    ("cost_mean_based", "cost_mean_based"),
+    ("cost_per_point", "cost_per_point"),
 )
+CSV_HEADER = ",".join(column for column, _ in _CSV_COLUMNS)
 
 
 # config keys cast on reading, so that e.g. "k0": 20 reads as 20.0
@@ -363,10 +372,9 @@ def train(exp: ExperimentConfig) -> tuple[TrainedSurrogate, FemSolveOracle]:
     keeps the reference preconditioner and the per-position solve log.
     """
     oracle = _oracle(exp)
-    family = oracle.family
-    prior = SurrogatePrior(family.b_weight, family.d_weight, family.profile)
     surrogate = train_surrogate_core(
-        oracle.points, oracle, prior, tol=oracle.cfg.tol, sp_window=exp.sp_window
+        oracle.points, oracle, oracle.family.prior, tol=oracle.cfg.tol,
+        sp_window=exp.sp_window,
     )
     return surrogate, oracle
 
@@ -565,20 +573,9 @@ def emit_report(report: RunReport, fmt: str, path) -> None:
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
+            row = (getattr(report, name) for _, name in _CSV_COLUMNS)
             writer.writerow(CSV_HEADER.split(","))
-            writer.writerow(
-                [
-                    report.n_dims,
-                    report.t_train,
-                    report.t_l_al,
-                    report.t_exec,
-                    report.n_pc,
-                    report.it_av,
-                    report.cost_total,
-                    "" if report.cost_mean_based is None else report.cost_mean_based,
-                    "" if report.cost_per_point is None else report.cost_per_point,
-                ]
-            )
+            writer.writerow("" if v is None else v for v in row)
     else:
         raise ValueError("format must be 'json' or 'csv'")
 

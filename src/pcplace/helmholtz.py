@@ -19,19 +19,13 @@ pollution effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import zeta
 
-from .param_space import (
-    AnisotropyProfile,
-    WeightMatrix,
-    affine_weight_matrix,
-    anisotropy_profile,
-    shape_mode_norms,
-)
+from .param_space import SurrogatePrior, WeightMatrix, anisotropy_profile
 
 __all__ = [
     "DegenerateMapError",
@@ -67,12 +61,18 @@ class DegenerateMapError(ValueError):
 
 @dataclass(frozen=True)
 class HelmholtzConfig:
-    """Geometry, wavenumber and solver settings; the incident wave is fixed."""
+    """Wavenumber and solver settings.
+
+    The geometry is fixed, like the incident wave: the scatterer's nominal
+    radius ``r_in``, the mollifier cutoff ``r_mol`` and the outer radius
+    ``r_out`` are class constants, not fields.
+    """
+
+    r_in: ClassVar[float] = 0.25
+    r_mol: ClassVar[float] = 0.9
+    r_out: ClassVar[float] = 1.0
 
     k0: float
-    r_in: float = 0.25
-    r_out: float = 1.0
-    r_mol: float = 0.9
     tol: float = 1e-5
     mesh_constant: float = 2.5
     mesh_size: float | None = None
@@ -81,8 +81,6 @@ class HelmholtzConfig:
     def __post_init__(self):
         if self.k0 <= 0:
             raise ValueError("wavenumber must be positive")
-        if not (0 < self.r_in < self.r_mol < self.r_out):
-            raise ValueError("radii must satisfy 0 < r_in < r_mol < r_out")
         if not 0 < self.tol < 1:
             raise ValueError("GMRES tolerance must lie in (0, 1)")
 
@@ -228,19 +226,20 @@ def _mollifier_radial_deriv(r, cfg: HelmholtzConfig):
 
 @dataclass(frozen=True)
 class ProblemFamily:
-    """A parameterized family of Helmholtz systems plus surrogate metadata.
+    """A parameterized family of Helmholtz systems and its surrogate prior.
 
-    ``b_weight``/``d_weight`` bound the parameter sensitivity of the
-    scalar and matrix coefficients (normalized to unit peak diagonal; the
-    absolute scale is absorbed by the prior-mean hyperparameters), and
-    ``profile`` carries the kernel correlation lengths derived from them.
+    ``prior`` holds the weights B and D that bound the parameter
+    sensitivity of the scalar and matrix coefficients (normalized to unit
+    peak diagonal; the absolute scale is absorbed by the prior-mean
+    hyperparameters) and the kernel correlation lengths derived from them.
+    D is zero for ``affine`` and equal to B for ``shape``, so
+    ``fit_hyperparameters`` never takes its two-column branch for the
+    built-in families.
     """
 
     kind: str
     n_dims: int
-    b_weight: WeightMatrix
-    d_weight: WeightMatrix
-    profile: AnisotropyProfile
+    prior: SurrogatePrior
     eta: np.ndarray | None = None
     amplitude: float | None = None
     decay: float | None = None
@@ -253,20 +252,15 @@ def affine_family(eta, cfg: HelmholtzConfig) -> ProblemFamily:
         raise ValueError("affine amplitudes must be positive")
     if e.max() >= 1.0:
         raise ValueError("amplitudes must stay below 1 to keep n positive")
-    b = affine_weight_matrix(e).normalized()
+    # diag(eta_i^2): the mollifier-dependent constant of the sensitivity
+    # bound is absorbed by the prior-mean coefficients
+    b = WeightMatrix(np.diag(e**2)).normalized()
     d = WeightMatrix.zero(e.size)
-    profile = anisotropy_profile(b, d, 0.0, 1.0, 2.0 * cfg.r_out)
-    return ProblemFamily(
-        kind="affine",
-        n_dims=e.size,
-        b_weight=b,
-        d_weight=d,
-        profile=profile,
-        eta=e,
-    )
+    prior = SurrogatePrior(b, d, anisotropy_profile(b, d, 0.0, 1.0, 2.0 * cfg.r_out))
+    return ProblemFamily(kind="affine", n_dims=e.size, prior=prior, eta=e)
 
 
-def max_safe_amplitude(decay: float, r_in: float = 0.25) -> float:
+def max_safe_amplitude(decay: float) -> float:
     """Largest mode amplitude keeping the boundary curve non-intersecting.
 
     The Fourier modes come in sine/cosine pairs with common algebraic
@@ -276,30 +270,26 @@ def max_safe_amplitude(decay: float, r_in: float = 0.25) -> float:
     """
     if decay <= 1:
         raise ValueError("decay exponent must exceed 1 for a summable series")
-    return r_in / (1.0 + np.sqrt(2.0) * (zeta(decay) - 1.0))
+    return HelmholtzConfig.r_in / (1.0 + np.sqrt(2.0) * (zeta(decay) - 1.0))
 
 
 def shape_family(
     n_dims: int, amplitude: float, decay: float, cfg: HelmholtzConfig
 ) -> ProblemFamily:
     """Star-shaped scatterer with Fourier boundary modes, pulled back."""
-    cap = max_safe_amplitude(decay, cfg.r_in)
+    cap = max_safe_amplitude(decay)
     if not 0 < amplitude < cap:
         raise ValueError(
             f"amplitude {amplitude:.4g} must stay below {cap:.4g} "
             f"for decay {decay:g}"
         )
-    w = shape_mode_norms(amplitude, decay, cfg.grad_mollifier_bound, n_dims)
+    if n_dims < 1:
+        raise ValueError("need at least one mode")
+    w = _mode_norms(n_dims, amplitude, decay, cfg.grad_mollifier_bound)
     b = WeightMatrix(np.outer(w, w)).normalized()
-    profile = anisotropy_profile(b, b, 1.0, 1.0, 2.0 * cfg.r_out)
+    prior = SurrogatePrior(b, b, anisotropy_profile(b, b, 1.0, 1.0, 2.0 * cfg.r_out))
     return ProblemFamily(
-        kind="shape",
-        n_dims=n_dims,
-        b_weight=b,
-        d_weight=b,
-        profile=profile,
-        amplitude=amplitude,
-        decay=decay,
+        kind="shape", n_dims=n_dims, prior=prior, amplitude=amplitude, decay=decay
     )
 
 
@@ -328,31 +318,44 @@ def affine_refractive_index(y, points, family: ProblemFamily, cfg: HelmholtzConf
     )
 
 
-def _mode_tables(theta, n_dims: int, amplitude: float, decay: float):
-    """Values and theta-derivatives of the boundary modes at ``theta``.
+def _mode_spec(n_dims: int, amplitude: float, decay: float):
+    """Coefficients, frequencies and sine flags of the boundary modes.
 
-    Mode 1 is constant; even modes are sines, odd modes (from 3) cosines,
-    with frequencies growing with the index and algebraically decaying
-    amplitudes.
+    Mode j has frequency f_j = j/2 for even j (a sine) and (j-1)/2 for
+    odd j (a cosine; mode 1 is the constant), and coefficient
+    amplitude * (f_j + 1)^-decay.
     """
-    th = np.asarray(theta, dtype=float)
     j = np.arange(1, n_dims + 1)
-    vals = np.empty(th.shape + (n_dims,))
-    derivs = np.empty_like(vals)
-    for col, jj in enumerate(j):
-        if jj == 1:
-            vals[..., col] = amplitude
-            derivs[..., col] = 0.0
-        elif jj % 2 == 0:
-            coef = amplitude * ((jj + 2) / 2.0) ** (-decay)
-            freq = jj / 2.0
-            vals[..., col] = coef * np.sin(freq * th)
-            derivs[..., col] = coef * freq * np.cos(freq * th)
-        else:
-            coef = amplitude * ((jj + 1) / 2.0) ** (-decay)
-            freq = (jj - 1) / 2.0
-            vals[..., col] = coef * np.cos(freq * th)
-            derivs[..., col] = -coef * freq * np.sin(freq * th)
+    freq = (j - j % 2) / 2.0
+    # float_power calls C pow per element; numpy's AVX-512 loop for ``**``
+    # can be an ulp off it (3.0 ** -1.3)
+    return amplitude * np.float_power(freq + 1.0, -decay), freq, j % 2 == 0
+
+
+def _mode_norms(n_dims: int, amplitude: float, decay: float, grad_chi_inf: float):
+    """W^{1,inf} bounds of the boundary-displacement modes.
+
+    Mode 1 is the constant radial inflation; even/odd modes j >= 2 are the
+    Fourier sine/cosine pair with algebraic decay alpha = ``decay``:
+
+        j = 1      : 2 * amp * |grad chi|_inf
+        j even     : ((j+2)/2)^-alpha * amp * (1 + |grad chi|_inf + j/2)
+        j odd, > 1 : ((j+1)/2)^-alpha * amp * (1 + |grad chi|_inf + (j-1)/2)
+    """
+    coef, freq, _ = _mode_spec(n_dims, amplitude, decay)
+    norms = coef * (1.0 + grad_chi_inf + freq)
+    norms[0] = 2.0 * amplitude * grad_chi_inf
+    return norms
+
+
+def _mode_tables(theta, n_dims: int, amplitude: float, decay: float):
+    """Values and theta-derivatives of the boundary modes at ``theta``."""
+    coef, freq, sine = _mode_spec(n_dims, amplitude, decay)
+    phase = np.asarray(theta, dtype=float)[..., None] * freq
+    sin, cos = np.sin(phase), np.cos(phase)
+    vals = coef * np.where(sine, sin, cos)
+    derivs = coef * freq * np.where(sine, cos, -sin)
+    derivs[..., 0] = 0.0  # the constant mode; the product gives -0.0
     return vals, derivs
 
 

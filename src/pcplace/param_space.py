@@ -1,10 +1,11 @@
 """Parameter-space geometry: boxes, point sets, weighted norms and anisotropy.
 
 The iteration-count surrogate measures distances in parameter space with
-weighted l2 norms.  The weight matrices are assembled per problem family
-(diagonal for an affine coefficient expansion, rank-one for a parameterized
-boundary) and also drive the per-dimension correlation lengths of the
-surrogate kernel: the more a dimension matters, the shorter its length.
+weighted l2 norms.  The problem families in ``helmholtz`` assemble their
+weight matrices (diagonal for an affine coefficient expansion, rank-one for
+a parameterized boundary) into a ``SurrogatePrior``; the weights also drive
+the per-dimension correlation lengths of the surrogate kernel: the more a
+dimension matters, the shorter its length.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ __all__ = [
     "ParamSet",
     "WeightMatrix",
     "AnisotropyProfile",
+    "SurrogatePrior",
     "weighted_norm",
-    "affine_weight_matrix",
-    "shape_mode_norms",
     "anisotropy_profile",
 ]
 
@@ -182,6 +182,25 @@ class AnisotropyProfile:
         return self.gamma.size
 
 
+@dataclass(frozen=True)
+class SurrogatePrior:
+    """Weighted-norm prior structure shared by mean and kernel."""
+
+    b_weight: WeightMatrix
+    d_weight: WeightMatrix
+    profile: AnisotropyProfile
+
+    def __post_init__(self):
+        if not (
+            self.b_weight.dims == self.d_weight.dims == self.profile.dims
+        ):
+            raise ValueError("prior components must share a dimension")
+
+    @property
+    def dims(self) -> int:
+        return self.b_weight.dims
+
+
 def weighted_norm(delta: np.ndarray, weight: WeightMatrix) -> float:
     """sqrt(delta^T M delta) for a positive-semidefinite weight M."""
     d = np.asarray(delta, dtype=float)
@@ -201,47 +220,6 @@ def batch_weighted_norm(deltas: np.ndarray, weight: WeightMatrix) -> np.ndarray:
         raise ValueError("delta dimension does not match the weight matrix")
     q = np.einsum("ij,jk,ik->i", d, weight.entries, d)
     return np.sqrt(np.maximum(q, 0.0))
-
-
-def affine_weight_matrix(eta: np.ndarray) -> WeightMatrix:
-    """Diagonal weight diag(eta_i^2) for an affine coefficient expansion.
-
-    The mollifier-dependent proportionality constant is absorbed by the
-    prior-mean hyperparameters, so only the squared amplitudes remain.
-    """
-    e = np.atleast_1d(np.asarray(eta, dtype=float))
-    if np.any(e <= 0):
-        raise ValueError("amplitudes must be positive")
-    return WeightMatrix(np.diag(e**2))
-
-
-def shape_mode_norms(
-    theta_amp: float, alpha_decay: float, grad_chi_inf: float, n_dims: int
-) -> np.ndarray:
-    """W^{1,inf} bounds of the boundary-displacement modes.
-
-    Mode 1 is the constant radial inflation; even/odd modes j >= 2 are the
-    Fourier sine/cosine pair with algebraic decay ``alpha_decay``:
-
-        j = 1      : 2 * amp * |grad chi|_inf
-        j even     : ((j+2)/2)^-alpha * amp * (1 + |grad chi|_inf + j/2)
-        j odd, > 1 : ((j+1)/2)^-alpha * amp * (1 + |grad chi|_inf + (j-1)/2)
-    """
-    if theta_amp <= 0 or grad_chi_inf <= 0:
-        raise ValueError("amplitude and gradient bound must be positive")
-    if alpha_decay <= 1:
-        raise ValueError("decay exponent must exceed 1")
-    if n_dims < 1:
-        raise ValueError("need at least one mode")
-    j = np.arange(1, n_dims + 1, dtype=float)
-    even = j % 2 == 0
-    out = np.where(
-        even,
-        ((j + 2) / 2) ** (-alpha_decay) * theta_amp * (1 + grad_chi_inf + j / 2),
-        ((j + 1) / 2) ** (-alpha_decay) * theta_amp * (1 + grad_chi_inf + (j - 1) / 2),
-    )
-    out[0] = 2.0 * theta_amp * grad_chi_inf
-    return out
 
 
 def anisotropy_profile(

@@ -41,7 +41,6 @@ from .param_space import ParamBox, ParamSet
 
 __all__ = [
     "PlacementPlan",
-    "strategy_cost",
     "allocate",
     "locate",
     "greedy_init",
@@ -75,11 +74,6 @@ class PlacementPlan:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-
-def strategy_cost(plan: PlacementPlan, cost_ratio: float) -> float:
-    """Build cost of the chargeable preconditioners plus total iterations."""
-    return _objective(cost_ratio, plan.fixed_mask, plan.assigned_m)
 
 
 def _objective(cost_ratio: float, fixed_mask, per_m: np.ndarray) -> float:

@@ -34,13 +34,13 @@ from .krylov import gmres_left, lu_factor
 from .param_space import (
     AnisotropyProfile,
     ParamSet,
+    SurrogatePrior,
     WeightMatrix,
     batch_weighted_norm,
 )
 
 __all__ = [
     "IterationMap",
-    "SurrogatePrior",
     "GramFactorizationError",
     "GpState",
     "SpTracker",
@@ -100,25 +100,6 @@ class IterationMap:
         s = c / (1 + np.sqrt(one_minus_c2))
         out = s * s
         return float(out) if np.isscalar(m) else out
-
-
-@dataclass(frozen=True)
-class SurrogatePrior:
-    """Weighted-norm prior structure shared by mean and kernel."""
-
-    b_weight: WeightMatrix
-    d_weight: WeightMatrix
-    profile: AnisotropyProfile
-
-    def __post_init__(self):
-        if not (
-            self.b_weight.dims == self.d_weight.dims == self.profile.dims
-        ):
-            raise ValueError("prior components must share a dimension")
-
-    @property
-    def dims(self) -> int:
-        return self.b_weight.dims
 
 
 def prior_mean(

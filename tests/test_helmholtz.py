@@ -8,6 +8,8 @@ from pcplace.helmholtz import (
     DegenerateMapError,
     INCIDENT_DIRECTION,
     HelmholtzConfig,
+    _mode_norms,
+    _mode_tables,
     affine_family,
     affine_refractive_index,
     apply_sound_soft,
@@ -218,6 +220,75 @@ class TestShapeGeometry:
                     - domain_map(y, xm, fam, self.CFG)[0]
                 ) / (2 * step)
             assert np.max(np.abs(fd - jac)) <= 1e-6
+
+
+class TestAffineWeight:
+    CFG = HelmholtzConfig(k0=5.0)
+
+    def weight(self, eta):
+        return affine_family(eta, self.CFG).prior.b_weight
+
+    def test_unit_amplitudes(self):
+        assert_allclose(self.weight([0.5, 0.5]).entries, np.eye(2))
+
+    def test_squares_amplitudes(self):
+        m = self.weight([0.5, 0.25, 0.125])
+        assert_allclose(m.diagonal, [1.0, 0.25, 0.0625])
+        assert_allclose(m.entries, np.diag(m.diagonal))
+
+    def test_single_mode(self):
+        # normalized to unit peak diagonal: diag(0.3^2) / 0.3^2
+        assert_allclose(self.weight([0.3]).entries, [[1.0]])
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            affine_family([0.5, 0.0], self.CFG)
+
+    def test_d_weight_zero_for_affine_and_b_for_shape(self):
+        assert not affine_family([0.5, 0.25], self.CFG).prior.d_weight.entries.any()
+        prior = shape_family(3, 0.1, 2.0, self.CFG).prior
+        assert prior.d_weight is prior.b_weight
+
+
+class TestShapeModeNorms:
+    # grad-chi bound of the mollifier on the annulus r_in=0.25, r_mol=0.9:
+    # 1 / 0.65.
+    GRAD = 1.0 / 0.65
+
+    def test_reference_values(self):
+        norms = _mode_norms(3, 1.0, 2.0, self.GRAD)
+        assert_allclose(norms[0], 2 * self.GRAD)  # 3.07692...
+        assert_allclose(norms[0], 3.076923, rtol=1e-6)
+        assert_allclose(norms[1], 0.25 * (1 + self.GRAD + 1.0))  # 0.884615...
+        assert_allclose(norms[1], 0.884615, rtol=1e-6)
+        assert_allclose(norms[2], 0.25 * (1 + self.GRAD + 1.0))
+        assert_allclose(norms[2], 0.884615, rtol=1e-6)
+
+    def test_decreasing_within_parity(self):
+        norms = _mode_norms(25, 0.5, 2.5, self.GRAD)
+        evens = norms[1::2]  # j = 2, 4, ...
+        odds = norms[2::2]  # j = 3, 5, ...
+        assert np.all(np.diff(evens) < 0)
+        assert np.all(np.diff(odds) < 0)
+
+    def test_positive(self):
+        assert np.all(_mode_norms(10, 0.1, 3.0, self.GRAD) > 0)
+
+    def test_norms_bound_the_mode_tables(self):
+        # modes 2..9 have integer frequencies up to 4, so this grid holds
+        # every peak of each mode and of its derivative
+        thetas = 2 * np.pi * np.arange(1440) / 1440
+        for amp, decay in ((0.05, 2.0), (0.1, 2.5), (0.01, 3.7), (0.12, 1.3)):
+            vals, derivs = _mode_tables(thetas, 9, amp, decay)
+            norms = _mode_norms(9, amp, decay, self.GRAD)
+            peaks = (1 + self.GRAD) * np.abs(vals).max(axis=0) + np.abs(derivs).max(axis=0)
+            assert_allclose(norms[1:], peaks[1:], rtol=1e-15, atol=0)
+            assert norms[0] == 2 * amp * self.GRAD
+
+
+def test_geometry_is_not_a_setting():
+    with pytest.raises(TypeError):
+        HelmholtzConfig(k0=5.0, r_in=0.3)
 
 
 class TestPullback:

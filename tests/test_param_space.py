@@ -7,10 +7,8 @@ from pcplace.param_space import (
     ParamBox,
     ParamSet,
     WeightMatrix,
-    affine_weight_matrix,
     anisotropy_profile,
     batch_weighted_norm,
-    shape_mode_norms,
     weighted_norm,
 )
 
@@ -91,51 +89,9 @@ class TestWeightedNorm:
         assert_allclose(weighted_norm(delta, m), abs(w @ delta))
 
 
-class TestAffineWeight:
-    def test_unit_amplitudes(self):
-        assert_allclose(affine_weight_matrix([1.0, 1.0]).entries, np.eye(2))
-
-    def test_squares_amplitudes(self):
-        m = affine_weight_matrix([1.0, 0.5, 0.25])
-        assert_allclose(m.diagonal, [1.0, 0.25, 0.0625])
-        assert_allclose(m.entries, np.diag(m.diagonal))
-
-    def test_single_mode(self):
-        assert_allclose(affine_weight_matrix([3.0]).entries, [[9.0]])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            affine_weight_matrix([1.0, 0.0])
-
-
-class TestShapeModeNorms:
-    # grad-chi bound of the standard mollifier on the r_in=0.25, r_mol=0.9
-    # annulus: 1 / 0.65.
-    GRAD = 1.0 / 0.65
-
-    def test_reference_values(self):
-        norms = shape_mode_norms(1.0, 2.0, self.GRAD, 3)
-        assert_allclose(norms[0], 2 * self.GRAD)  # 3.07692...
-        assert_allclose(norms[0], 3.076923, rtol=1e-6)
-        assert_allclose(norms[1], 0.25 * (1 + self.GRAD + 1.0))  # 0.884615...
-        assert_allclose(norms[1], 0.884615, rtol=1e-6)
-        assert_allclose(norms[2], 0.25 * (1 + self.GRAD + 1.0))
-        assert_allclose(norms[2], 0.884615, rtol=1e-6)
-
-    def test_decreasing_within_parity(self):
-        norms = shape_mode_norms(0.5, 2.5, self.GRAD, 25)
-        evens = norms[1::2]  # j = 2, 4, ...
-        odds = norms[2::2]  # j = 3, 5, ...
-        assert np.all(np.diff(evens) < 0)
-        assert np.all(np.diff(odds) < 0)
-
-    def test_positive(self):
-        assert np.all(shape_mode_norms(0.1, 3.0, self.GRAD, 10) > 0)
-
-
 class TestAnisotropyProfile:
     def test_affine_style_lengths(self):
-        b = affine_weight_matrix([1.0, 0.5, 0.25])
+        b = WeightMatrix(np.diag([1.0, 0.25, 0.0625]))
         d = WeightMatrix.zero(3)
         prof = anisotropy_profile(b, d, 0.0, 1.0, 2.0)
         assert_allclose(prof.corr_lengths, [2.0, 4.0, 8.0])

@@ -11,13 +11,13 @@ from pcplace import placement
 from pcplace.param_space import ParamBox, ParamSet
 from pcplace.placement import (
     PlacementPlan,
+    _objective,
     _prune,
     _value_and_gradient,
     allocate,
     greedy_init,
     locate,
     plan_placement,
-    strategy_cost,
 )
 from pcplace.surrogate import IterationMap
 
@@ -79,7 +79,9 @@ class TestStrategyCost:
             assigned_m=np.full(7, 50.0),
             estimated_cost=np.nan,
         )
-        assert_allclose(strategy_cost(plan, 100.0), 100.0 * 2 + 350.0)
+        assert_allclose(
+            _objective(100.0, plan.fixed_mask, plan.assigned_m), 100.0 * 2 + 350.0
+        )
 
     def test_empty_plan_costs_nothing(self):
         plan = PlacementPlan(
@@ -90,7 +92,7 @@ class TestStrategyCost:
             assigned_m=np.zeros(0),
             estimated_cost=0.0,
         )
-        assert strategy_cost(plan, 100.0) == 0.0
+        assert _objective(100.0, plan.fixed_mask, plan.assigned_m) == 0.0
 
     def test_duplicate_location_adds_only_build_cost(self):
         rng = np.random.default_rng(0)
@@ -101,7 +103,8 @@ class TestStrategyCost:
         p2 = manual_plan(pts, locs2, euclidean_m)
         assert_allclose(p2.assigned_m, p1.assigned_m)
         assert_allclose(
-            strategy_cost(p2, 40.0), strategy_cost(p1, 40.0) + 40.0
+            _objective(40.0, p2.fixed_mask, p2.assigned_m),
+            _objective(40.0, p1.fixed_mask, p1.assigned_m) + 40.0,
         )
 
 
