@@ -20,12 +20,16 @@ removal lowers the cost are pruned at the end; that includes every
 chargeable one whose cell a sweep emptied, since dropping it leaves every
 assignment as it is and saves one build.
 
-The Weber step scores cell members as candidates but starts no descent
-from them: an iteration-count metric has a logarithmic cusp at zero
-shift, so a descent from a member returns its start (for an exception
-of negligible gain, see ``locate``).  Each planner call keeps its
-descent ends in one dict keyed by (cell, start), the only inputs a descent
-has that change between sweeps.
+A sweep descends all moving cells together: one L-BFGS-B run per start
+slot (incumbent, centroid, each restart) over their stacked locations,
+whose objective, the sum of the cell totals, is separable.  No descent
+starts at a cell member: an iteration-count metric has a logarithmic
+cusp at zero shift, so a descent from a member returns its start (for an
+exception of negligible gain, see ``_descend``).  Each planner call keeps
+the descent ends in one dict keyed by (cell, start), and ``locate`` picks
+each cell's location among its starts, its members and those ends.  The
+planner also keeps the last metric table's columns by location bytes, so
+a sweep recomputes only the columns of the locations that moved.
 """
 
 from __future__ import annotations
@@ -82,12 +86,22 @@ def _objective(cost_ratio: float, fixed_mask, per_m: np.ndarray) -> float:
     return cost_ratio * n_charged + float(per_m.sum())
 
 
-def _metric_table(points: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
-    """m(y_i - yhat_k) for every target/preconditioner pair, (n, k)."""
+def _metric_table(
+    points: np.ndarray, locations: np.ndarray, m, columns: dict | None = None
+) -> np.ndarray:
+    """m(y_i - yhat_k) for every target/preconditioner pair, (n, k).
+
+    ``columns`` maps a location's bytes to its column for the same points
+    and m; a column found there is copied, not recomputed.  A column is one
+    m call on ``points - location``, so a cached column has the bits a
+    fresh call would give.
+    """
     n, k = points.shape[0], locations.shape[0]
+    columns = {} if columns is None else columns
     table = np.empty((n, k))
     for j in range(k):
-        table[:, j] = m(points - locations[j])
+        column = columns.get(locations[j].tobytes())
+        table[:, j] = m(points - locations[j]) if column is None else column
     return table
 
 
@@ -119,53 +133,72 @@ def _cell_totals(cell: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
     return np.asarray(m(shifts), dtype=float).reshape(locations.shape[0], -1).sum(axis=1)
 
 
-def _value_and_gradient(yhat, cell: np.ndarray, m, box: ParamBox):
-    """The cell's total m at yhat and its forward-difference gradient.
+def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
+    """The summed total m of ``cells`` and its forward-difference gradient.
 
-    The stencil [yhat, yhat + h e_1, ..., yhat + h e_d] is evaluated in one
-    m call; each step is flipped backward where the forward step would
-    leave the box, and the gradient divides by the realized step.
+    ``x`` stacks one location per cell.  The sum is separable, so its
+    gradient is each cell's own.  Every cell's stencil [yhat, yhat + h e_1,
+    ..., yhat + h e_d] is evaluated in one m call; each step is flipped
+    backward where the forward step would leave the box, and the gradient
+    divides by the realized step.
     """
-    yhat = np.asarray(yhat, dtype=float)
+    dims = box.dims
+    yhat = np.asarray(x, dtype=float).reshape(len(cells), dims)
     step = np.where(yhat + _FD_STEP > box.hi, -_FD_STEP, _FD_STEP)
-    stencil = np.tile(yhat, (yhat.size + 1, 1))
-    stencil[1:] += np.diag(step)
-    totals = _cell_totals(cell, stencil, m)
+    stencils = np.repeat(yhat[:, None, :], dims + 1, axis=1)
+    axis = np.arange(dims)
+    stencils[:, axis + 1, axis] += step
+    sizes = [cell.shape[0] for cell in cells]
+    owner = np.repeat(np.arange(len(cells)), sizes)
+    shifts = np.concatenate(cells)[:, None, :] - stencils[owner]
+    values = np.asarray(m(shifts.reshape(-1, dims)), dtype=float).reshape(-1, dims + 1)
+    totals = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=0)
     dx = (yhat + step) - yhat
-    return float(totals[0]), (totals[1:] - totals[0]) / dx
+    return float(totals[:, 0].sum()), ((totals[:, 1:] - totals[:, :1]) / dx).ravel()
 
 
-def _descent_ends(
-    cell: np.ndarray, m, box: ParamBox, starts: np.ndarray, memo: dict | None = None
-) -> list[np.ndarray]:
-    """L-BFGS-B end points from the distinct ``starts`` that are not cell members.
+def _starts(cell: np.ndarray, incumbent: np.ndarray, restarts) -> np.ndarray:
+    """A cell's descent starts by slot: incumbent, centroid, then restarts."""
+    restarts = np.asarray(restarts, dtype=float).reshape(-1, cell.shape[1])
+    return np.vstack([incumbent, cell.mean(axis=0), restarts])
 
-    Each run minimizes the cell's total m with batched forward-difference
-    gradients (one m call per step).  Its end point is returned clipped to
-    the box, not paired with ``res.fun``: after an abnormal line-search exit
-    scipy returns the start but the value of its last trial point.  A run
-    depends only on the cell and its start (m and the box are fixed within
-    one planner call), so its end is kept in ``memo`` under their bytes.
+
+def _descend(cells: list[np.ndarray], starts: list[np.ndarray], m, box: ParamBox, memo: dict):
+    """One L-BFGS-B run per start slot over every cell still lacking its end.
+
+    ``starts[j]`` holds cell j's starts by slot (``_starts``).  Slot by
+    slot, the cells whose start there is neither a member nor already in
+    ``memo`` under (cell, start) bytes descend together: one bounded run
+    over their stacked locations minimizes the sum of their totals, one m
+    call per objective evaluation.  Each end is stored in ``memo`` clipped
+    to the box, not paired with ``res.fun``: after an abnormal line-search
+    exit scipy returns the start but the value of its last trial point.
+
+    Members are not descended from: an iteration-count metric rises from
+    its one-iteration floor with a logarithmic cusp (infinite slope) at
+    zero shift, so a descent from a member returns its start after a failed
+    line search, unless a finite-difference step along some weakly
+    weighted direction stays in the floor: the other members then pull it
+    off for a gain near 1e-9 iterations (strict xfail
+    ``test_descent_leaves_a_member_in_the_floor_band``).
     """
-    memo = {} if memo is None else memo
-    cell_key = cell.tobytes()
-    skip = {row.tobytes() for row in cell}
-    bounds = list(zip(box.lo, box.hi))
-    ends = []
-    for start in starts:
-        start_key = start.tobytes()
-        if start_key in skip:
+    keys = [cell.tobytes() for cell in cells]
+    members = [{row.tobytes() for row in cell} for cell in cells]
+    for slot in zip(*starts):
+        batch = [
+            j for j, start in enumerate(slot)
+            if start.tobytes() not in members[j] and (keys[j], start.tobytes()) not in memo
+        ]
+        if not batch:
             continue
-        skip.add(start_key)
-        key = (cell_key, start_key)
-        if key not in memo:
-            res = minimize(
-                _value_and_gradient, start, args=(cell, m, box), method="L-BFGS-B",
-                jac=True, bounds=bounds,
-            )
-            memo[key] = box.clip(res.x)
-        ends.append(memo[key])
-    return ends
+        res = minimize(
+            _value_and_gradient, np.concatenate([slot[j] for j in batch]),
+            args=([cells[j] for j in batch], m, box), method="L-BFGS-B", jac=True,
+            bounds=list(zip(box.lo, box.hi)) * len(batch),
+        )
+        ends = box.clip(res.x.reshape(len(batch), box.dims))
+        for j, end in zip(batch, ends):
+            memo[keys[j], slot[j].tobytes()] = end
 
 
 def locate(
@@ -173,46 +206,27 @@ def locate(
     m,
     box: ParamBox,
     incumbent: np.ndarray,
-    rng: np.random.Generator | None = None,
-    n_restarts: int = 5,
+    restarts: np.ndarray,
     memo: dict | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Weber step: a box-constrained minimizer of the cell's total m.
+    """Weber step: the least-total candidate for the cell's location.
 
-    The candidates are the starts (the incumbent, the cell centroid, the
-    first, middle and last member, and ``n_restarts`` uniform random
-    points) and the ends of quasi-Newton descents (box bounds, batched
-    forward-difference gradients) from the distinct starts that are not
-    cell members.  All candidates are scored in one m call, and the first
-    one of least total is returned, so the result is never worse than the
-    incumbent; it counts as improved when it beats the incumbent by more
-    than 1e-12.
-
-    Members are scored but not descended from: an iteration-count metric
-    rises from its one-iteration floor with a logarithmic cusp (infinite
-    slope) at zero shift, so a descent from a member returns its start
-    after a failed line search, unless a finite-difference step along some
-    weakly weighted direction stays in the floor: the other members then
-    pull it off for a gain near 1e-9 iterations (strict xfail
-    ``test_descent_leaves_a_member_in_the_floor_band``).  ``memo`` keeps
-    descent ends by (cell, start) bytes; ``plan_placement`` passes one dict
-    per call, so a repeated cell reuses its centroid's descent even after
-    its incumbent moved.  Without a memo every descent runs.
+    The candidates are the incumbent, the cell centroid, every member, the
+    ``restarts`` and the descent ends ``memo`` holds for the cell from
+    those starts; ``locate`` starts no descent itself (``plan_placement``
+    fills the memo first, see ``_descend``).  All are scored in one m call,
+    and the first one of least total is returned; the incumbent comes
+    first, so the result is never worse than it and a tie keeps it.  It
+    counts as improved when it beats the incumbent by more than 1e-12.
     """
     cell = np.atleast_2d(np.asarray(cell, dtype=float))
     if cell.shape[0] == 0:
         raise ValueError("cannot locate for an empty cell")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    incumbent = np.asarray(incumbent, dtype=float)
-
-    member_picks = sorted({0, cell.shape[0] // 2, cell.shape[0] - 1})
-    starts = np.vstack([incumbent, cell.mean(axis=0), cell[member_picks]])
-    restarts = rng.uniform(box.lo, box.hi, size=(n_restarts, box.dims))
-    candidates = np.vstack([
-        starts, *_descent_ends(cell, m, box, starts, memo),
-        restarts, *_descent_ends(cell, m, box, restarts, memo),
-    ])
+    starts = _starts(cell, np.asarray(incumbent, dtype=float), restarts)
+    memo = {} if memo is None else memo
+    keys = dict.fromkeys((cell.tobytes(), start.tobytes()) for start in starts)
+    ends = [memo[key] for key in keys if key in memo]
+    candidates = np.vstack([starts[:2], cell, starts[2:], *ends])
     totals = _cell_totals(cell, candidates, m)
     best = int(np.argmin(totals))
     return candidates[best], bool(totals[best] < totals[0] - 1e-12)
@@ -226,25 +240,33 @@ def _prune(table, fixed_mask, assignment, per_m, cost_ratio):
     Locations do not move here, so ``table`` is the (n, k) metric table
     of the final allocation, and a trial drop is an argmin over the kept
     columns in their original order (ties break to the lowest kept index,
-    as in ``allocate``).  Returns the kept column indices, the assignment
-    into them and the per-target m values.
+    as in ``allocate``).  Each round finds every row's second-best kept
+    column once: dropping column p moves exactly the rows assigned to p,
+    each to its second best, which is the first argmin over the rest.
+    Returns the kept column indices, the assignment into them and the
+    per-target m values.
     """
     kept = np.arange(table.shape[1])
+    rows = np.arange(table.shape[0])
     while kept.size > 1:
-        current = _objective(cost_ratio, fixed_mask[kept], per_m)
-        best_cost, best_state = current, None
-        for k in kept:
-            if fixed_mask[k]:
-                continue
-            trial_kept = kept[kept != k]
-            trial_assignment, trial_m = _assign(table[:, trial_kept])
-            trial_cost = _objective(cost_ratio, fixed_mask[trial_kept], trial_m)
+        masked = table[:, kept]
+        masked[rows, assignment] = np.inf
+        second = np.argmin(masked, axis=1)
+        second_m = table[rows, kept[second]]
+        best_cost = _objective(cost_ratio, fixed_mask[kept], per_m)
+        best_drop = None
+        for p in np.flatnonzero(~fixed_mask[kept]):
+            moved = assignment == p
+            trial_m = np.where(moved, second_m, per_m)
+            trial_cost = _objective(cost_ratio, fixed_mask[np.delete(kept, p)], trial_m)
             if trial_cost < best_cost - 1e-12:
-                best_cost = trial_cost
-                best_state = (trial_kept, trial_assignment, trial_m)
-        if best_state is None:
+                best_cost, best_drop = trial_cost, (p, moved, trial_m)
+        if best_drop is None:
             break
-        kept, assignment, per_m = best_state
+        p, moved, per_m = best_drop
+        assignment = np.where(moved, second, assignment)
+        assignment = assignment - (assignment > p)
+        kept = np.delete(kept, p)
     return kept, assignment, per_m
 
 
@@ -304,10 +326,13 @@ def plan_placement(
     """Full placement: greedy count selection, location-allocation, pruning.
 
     ``m`` maps parameter shifts (rows) to iteration counts.  Each sweep
-    re-centers every non-empty chargeable cell at its Weber point
-    (``locate``, sharing one descent memo keyed by (cell, start)) and
-    reallocates.  The sweeps stop when nothing moved, after ``la_max_iter``
-    sweeps, or when a sweep gains fewer iterations than
+    draws the restarts of every non-empty chargeable cell from the seeded
+    generator, in cell order, runs one batched descent per start slot
+    (``_descend``, filling one memo keyed by (cell, start) that the whole
+    call shares), re-centers each cell at the best of its candidates
+    (``locate``) and reallocates, reusing the table columns of locations
+    that did not move.  The sweeps stop when nothing moved, after
+    ``la_max_iter`` sweeps, or when a sweep gains fewer iterations than
     ``sweep_price(total_before, sweep_seconds)``; the default price is
     ``1e-4 * max(total_before, 1.0)``.
     A final pruning pass drops chargeable preconditioners whose removal
@@ -330,19 +355,21 @@ def plan_placement(
         tick = time.perf_counter()
         prev_total = sigma_trace[-1]
         prev_assignment = assignment
+        columns = {loc.tobytes(): table[:, j] for j, loc in enumerate(locations)}
+
+        moving = [k for k in np.flatnonzero(~fixed_mask) if np.any(assignment == k)]
+        cells = [points[assignment == k] for k in moving]
+        restarts = [rng.uniform(box.lo, box.hi, size=(n_restarts, box.dims)) for _ in moving]
+        starts = [_starts(*cell_args) for cell_args in zip(cells, locations[moving], restarts)]
+        _descend(cells, starts, m, box, memo)
 
         shifted = 0.0
-        for k in range(locations.shape[0]):
-            if fixed_mask[k]:
-                continue
-            members = points[assignment == k]
-            if members.shape[0] == 0:
-                continue
-            new_loc, _ = locate(members, m, box, locations[k], rng, n_restarts, memo=memo)
+        for k, cell, cell_restarts in zip(moving, cells, restarts):
+            new_loc, _ = locate(cell, m, box, locations[k], cell_restarts, memo)
             shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
             locations[k] = new_loc
 
-        table = _metric_table(points, locations, m)
+        table = _metric_table(points, locations, m, columns)
         assignment, per_m = _assign(table)
         sigma_trace.append(float(per_m.sum()))
         if shifted <= 1e-12 and np.array_equal(assignment, prev_assignment):

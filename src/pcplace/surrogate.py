@@ -142,11 +142,20 @@ def pair_kernel(d1, d2, length):
 def kernel_matrix(
     x_deltas: np.ndarray, y_deltas: np.ndarray, corr_lengths: np.ndarray
 ) -> np.ndarray:
-    """Full kernel: per-dimension kernels summed over dimensions."""
-    x = np.atleast_2d(np.asarray(x_deltas, dtype=float))[:, None, :]
-    y = np.atleast_2d(np.asarray(y_deltas, dtype=float))[None, :, :]
-    terms = pair_kernel(x, y, np.asarray(corr_lengths, dtype=float))
-    return terms.sum(axis=2)
+    """Full kernel: per-dimension kernels summed over dimensions.
+
+    Each dimension adds one (rows, train) grid, in dimension order, so no
+    (rows, train, d) broadcast is built.  Up to seven dimensions this is
+    bitwise the sum over such a broadcast's last axis; from eight on,
+    numpy sums that axis pairwise and the two differ in the last bits.
+    """
+    x = np.atleast_2d(np.asarray(x_deltas, dtype=float))
+    y = np.atleast_2d(np.asarray(y_deltas, dtype=float))
+    lengths = np.broadcast_to(np.asarray(corr_lengths, dtype=float), x.shape[1:])
+    out = pair_kernel(x[:, :1], y[:, 0], lengths[0])
+    for j in range(1, x.shape[1]):
+        out += pair_kernel(x[:, j : j + 1], y[:, j], lengths[j])
+    return out
 
 
 def fit_hyperparameters(

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from pcplace import placement
 from pcplace.harness import (
     ExperimentConfig,
     baseline_mean_based,
@@ -97,6 +98,31 @@ def test_kappa_prices_sweeps_only_in_measured_mode(tmp_path):
     emit_report(report, "json", fresh)
     assert fresh.read_bytes() == (DATA / "golden_affine.json").read_bytes()
     assert plan.la_iterations == 2
+
+
+def test_a_sweep_runs_at_most_one_descent_per_start_slot(monkeypatch):
+    # the Weber step descends all cells together, once per start slot (the
+    # incumbent, the centroid and each restart), however many cells move
+    runs, sweeps = [], []
+    real_minimize, real_descend = placement.minimize, placement._descend
+
+    def counting_minimize(*args, **kwargs):
+        runs.append(1)
+        return real_minimize(*args, **kwargs)
+
+    def counting_descend(cells, *args):
+        before = len(runs)
+        real_descend(cells, *args)
+        sweeps.append((len(cells), len(runs) - before))
+
+    monkeypatch.setattr(placement, "minimize", counting_minimize)
+    monkeypatch.setattr(placement, "_descend", counting_descend)
+    doc = GOLDEN_CONFIGS["golden_affine"]
+    _, _, plan = run_pipeline(ExperimentConfig.from_dict(doc))
+    assert len(sweeps) == plan.la_iterations
+    slots = 2 + doc["placement"]["n_restarts"]
+    assert all(n_runs <= slots < n_cells for n_cells, n_runs in sweeps)
+    assert runs
 
 
 def _load(name: str) -> dict:

@@ -1,10 +1,10 @@
-import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import OptimizeResult
 from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
 
 from pcplace import placement
@@ -151,12 +151,12 @@ class TestLocate:
         box = ParamBox.symmetric_unit(2)
         p = np.array([0.4, -0.7])
         m = floored_scaled_m(10.0)
-        loc, _ = locate(p.reshape(1, -1), m, box, incumbent=np.zeros(2))
+        loc, _ = locate(p.reshape(1, -1), m, box, np.zeros(2), restarts=())
         assert_allclose(loc, p, atol=1e-12)
 
     def test_geometric_median_against_grid_oracle(self):
         cell = np.array([[0.0], [0.0], [0.75]])
-        loc, _ = locate(cell, euclidean_m, self.BOX, incumbent=np.array([0.3]))
+        loc, _ = locate(cell, euclidean_m, self.BOX, np.array([0.3]), restarts=())
         grid = np.arange(-1.0, 1.0 + 1e-9, 0.01)
         objective = np.array([np.sum(np.abs(cell.ravel() - g)) for g in grid])
         oracle = grid[int(np.argmin(objective))]
@@ -171,7 +171,8 @@ class TestLocate:
             cell = rng.uniform(-1, 1, size=(int(rng.integers(1, 12)), dims))
             centroid = cell.mean(axis=0)
             m = floored_scaled_m(rng.uniform(1.0, 30.0))
-            loc, _ = locate(cell, m, box, incumbent=centroid, rng=rng)
+            restarts = rng.uniform(box.lo, box.hi, size=(5, dims))
+            loc, _ = locate(cell, m, box, centroid, restarts)
             assert np.sum(m(cell - loc)) <= np.sum(m(cell - centroid)) + 1e-10
 
     def test_symmetric_pair_centers_off_the_points(self):
@@ -182,7 +183,7 @@ class TestLocate:
             return np.linalg.norm(np.atleast_2d(deltas), axis=1) ** 2
 
         cell = np.array([[-1.0], [1.0]])
-        loc, _ = locate(cell, quadratic_m, self.BOX, incumbent=np.array([0.9]))
+        loc, _ = locate(cell, quadratic_m, self.BOX, np.array([0.9]), restarts=())
         assert abs(loc[0]) <= 1e-6
 
     @pytest.mark.parametrize("on_upper_bound", [False, True])
@@ -204,7 +205,7 @@ class TestLocate:
                 + (np.abs(d).sum(axis=1) if on_upper_bound else 0.0)
             )
 
-        value, grad = _value_and_gradient(x, cell, metric, box)
+        value, grad = _value_and_gradient(x, [cell], metric, box)
 
         def total(y):
             return float(np.sum(metric(cell - y)))
@@ -212,8 +213,20 @@ class TestLocate:
         expected = approx_derivative(
             total, x, method="2-point", abs_step=1e-8, bounds=(box.lo, box.hi)
         )
-        assert value == total(x)
+        # the descent sums each cell's stencil rows in order, np.sum pairwise
+        assert_allclose(value, total(x), rtol=1e-14)
         assert_allclose(grad, expected, rtol=1e-6)
+
+    def test_batched_gradient_is_each_cells_own(self):
+        rng = np.random.default_rng(4)
+        box = ParamBox(np.array([-1.0, -0.5]), np.array([1.0, 0.5]))
+        cells = [rng.uniform(box.lo, box.hi, size=(n, 2)) for n in (5, 1, 8)]
+        x = np.vstack([[0.3, -0.2], box.hi, [-0.7, 0.1]])
+        m = iteration_map_m(2.0)
+        value, grad = _value_and_gradient(x.ravel(), cells, m, box)
+        alone = [_value_and_gradient(y, [cell], m, box) for y, cell in zip(x, cells)]
+        assert value == sum(v for v, _ in alone)
+        assert_array_equal(grad, np.concatenate([g for _, g in alone]))
 
     def test_one_metric_call_per_objective_evaluation(self, monkeypatch):
         nfev, x0s = [], []
@@ -235,24 +248,55 @@ class TestLocate:
 
         rng = np.random.default_rng(5)
         box = ParamBox.symmetric_unit(2)
-        cell = rng.uniform(-1, 1, size=(6, 2))
-        locate(cell, counting_m, box, incumbent=np.zeros(2), rng=rng, n_restarts=2)
-        # descents from the incumbent, the centroid and the two restarts;
-        # the three member starts are scored but not descended from
-        assert len(nfev) == 4
-        assert not any((x0 == cell).all(axis=1).any() for x0 in x0s)
-        assert len(calls) == 1 + sum(nfev)
-        assert calls[-1] == (7 + 4) * 6  # every start and end in one call
-        assert set(calls[:-1]) == {3 * 6}  # the (d+1)-row stencil per step
+        cells = [rng.uniform(-1, 1, size=(6, 2)), rng.uniform(-1, 1, size=(4, 2))]
+        incumbents = [np.zeros(2), cells[1][0]]
+        restarts = [rng.uniform(-1, 1, size=(2, 2)) for _ in cells]
+        starts = [placement._starts(*args) for args in zip(cells, incumbents, restarts)]
+        memo = {}
+        placement._descend(cells, starts, counting_m, box, memo)
+        # one run per start slot; the second cell's incumbent is a member, so
+        # the incumbent slot descends the first cell alone
+        assert [x0.size for x0 in x0s] == [2, 4, 4, 4]
+        assert_array_equal(x0s[0], incumbents[0])
+        assert len(memo) == 4 + 3
+        assert len(calls) == sum(nfev)
+        assert set(calls[: nfev[0]]) == {3 * 6}  # the (d+1)-row stencil per step
+        assert set(calls[nfev[0] :]) == {3 * 10}  # both cells' stencils in one call
+        calls.clear()
+        for cell, incumbent, cell_restarts in zip(cells, incumbents, restarts):
+            locate(cell, counting_m, box, incumbent, cell_restarts, memo)
+        assert len(nfev) == 4  # locate starts no descent
+        # incumbent, centroid, members, restarts and ends, in one call each
+        assert calls == [(2 + 6 + 2 + 4) * 6, (2 + 4 + 2 + 3) * 4]
+
+    def test_every_member_is_a_candidate(self, monkeypatch):
+        # descents that return their start add nothing, yet the least-total
+        # member, neither the first, the middle nor the last, comes back
+        def start_minimize(fun, x0, **kwargs):
+            return OptimizeResult(x=np.array(x0, dtype=float))
+
+        monkeypatch.setattr(placement, "minimize", start_minimize)
+        cell = np.array([[0.9], [0.8], [0.0], [0.7], [-0.01], [0.01]])
+        m = iteration_map_m(1.0)
+        totals = placement._cell_totals(cell, cell, m)
+        assert int(np.argmin(totals)) == 2  # members 0, 3 and 5 are the old picks
+        memo = {}
+        placement._descend([cell], [placement._starts(cell, cell[0], ())], m, self.BOX, memo)
+        loc, improved = locate(cell, m, self.BOX, cell[0], (), memo)
+        assert_array_equal(loc, cell[2])
+        assert improved
 
     def test_tie_keeps_the_incumbent(self, monkeypatch):
-        # the two members tie bitwise; a descent's own reported value must
+        # the two members tie bitwise; the descent's own reported value must
         # not break the tie (after an abnormal line-search exit scipy pairs
         # the start with the value of its last trial point)
         cell = np.array([[-0.1], [0.1]])
         m = iteration_map_m(1.0)
         totals = placement._cell_totals(cell, cell, m)
         assert totals[0] == totals[1]
+        memo = {}
+        placement._descend([cell], [placement._starts(cell, cell[0], ())], m, self.BOX, memo)
+        assert len(memo) == 1  # from the centroid
         scored = []
         cell_totals = placement._cell_totals
 
@@ -261,11 +305,10 @@ class TestLocate:
             return scored[-1]
 
         monkeypatch.setattr(placement, "_cell_totals", recording_totals)
-        loc, improved = locate(cell, m, self.BOX, incumbent=cell[0].copy(), n_restarts=0)
+        loc, improved = locate(cell, m, self.BOX, cell[0].copy(), (), memo)
         assert_array_equal(loc, cell[0])
         assert not improved
         assert cell_totals(cell, loc[None], m)[0] == scored[-1].min()
-
 
     def test_memo_reuses_a_descent_across_incumbents(self, monkeypatch):
         starts = []
@@ -282,11 +325,16 @@ class TestLocate:
         m = iteration_map_m(1.0)
         incumbents = [np.array([0.9, -0.9]), np.array([-0.8, 0.7])]
         calls = [(cell, incumbents[0]), (cell, incumbents[1]), (cell[:-1], incumbents[1])]
-        fresh = [locate(c, m, box, inc, n_restarts=0) for c, inc in calls]
+
+        def weber(c, incumbent, memo):
+            placement._descend([c], [placement._starts(c, incumbent, ())], m, box, memo)
+            return locate(c, m, box, incumbent, (), memo)
+
+        fresh = [weber(c, inc, {}) for c, inc in calls]
         memo, runs, shared = {}, [], []
         for c, inc in calls:
             before = len(starts)
-            shared.append(locate(c, m, box, inc, n_restarts=0, memo=memo))
+            shared.append(weber(c, inc, memo))
             runs.append(len(starts) - before)
         # the second call shares the cell and so the centroid's descent, and
         # runs only the one from its own incumbent; the third shares that
@@ -296,6 +344,27 @@ class TestLocate:
         for (loc, improved), (fresh_loc, fresh_improved) in zip(shared, fresh):
             assert_array_equal(loc, fresh_loc)
             assert improved == fresh_improved
+
+
+class TestMetricTable:
+    def test_cached_columns_equal_fresh_ones_bitwise(self):
+        rng = np.random.default_rng(13)
+        points = rng.uniform(-1, 1, size=(50, 2))
+        base = iteration_map_m(0.7)
+        calls = []
+
+        def counting_m(deltas):
+            calls.append(len(deltas))
+            return base(deltas)
+
+        before = rng.uniform(-1, 1, size=(6, 2))
+        table = placement._metric_table(points, before, base)
+        columns = {loc.tobytes(): table[:, j] for j, loc in enumerate(before)}
+        after = before[[5, 0, 1, 2, 3, 4]]
+        after[[1, 4]] = rng.uniform(-1, 1, size=(2, 2))
+        cached = placement._metric_table(points, after, counting_m, columns)
+        assert calls == [50, 50]  # only the two moved columns
+        assert cached.tobytes() == placement._metric_table(points, after, base).tobytes()
 
 
 class TestPrune:
@@ -346,6 +415,45 @@ class TestPrune:
         assert 1 < want[0].shape[0] < 12 and np.any(want[2] == 0)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def argmin_pruning(table, fixed_mask, assignment, per_m, ratio):
+        """The pruning loop as written before second-best bookkeeping: one
+        argmin over the kept columns per trial drop."""
+        kept = np.arange(table.shape[1])
+        while kept.size > 1:
+            current = _objective(ratio, fixed_mask[kept], per_m)
+            best_cost, best_state = current, None
+            for k in kept:
+                if fixed_mask[k]:
+                    continue
+                trial_kept = kept[kept != k]
+                trial_assignment, trial_m = placement._assign(table[:, trial_kept])
+                trial_cost = _objective(ratio, fixed_mask[trial_kept], trial_m)
+                if trial_cost < best_cost - 1e-12:
+                    best_cost = trial_cost
+                    best_state = (trial_kept, trial_assignment, trial_m)
+            if best_state is None:
+                break
+            kept, assignment, per_m = best_state
+        return kept, assignment, per_m
+
+    def test_second_best_matches_an_argmin_per_trial(self):
+        rng = np.random.default_rng(14)
+        dropped = 0
+        for _ in range(300):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            # small integer entries: ties within rows and between trial costs
+            table = rng.integers(1, 6, size=(n, k)).astype(float)
+            fixed_mask = rng.random(k) < 0.25
+            ratio = float(rng.choice([0.5, 1.0, 2.0, 3.5]))
+            assignment, per_m = placement._assign(table)
+            got = _prune(table, fixed_mask, assignment, per_m, ratio)
+            want = self.argmin_pruning(table, fixed_mask, assignment, per_m, ratio)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            dropped += got[0].size < k
+        assert dropped > 150
 
     def test_reuses_final_allocation_table(self, monkeypatch):
         calls = []
@@ -523,6 +631,38 @@ class TestPlanPlacement:
             plan.estimated_cost, plan.assigned_m.sum()
         )
 
+    def test_sweep_without_a_chargeable_cell_makes_no_m_call(self, monkeypatch):
+        # the fixed center serves every target, so the sweep has no cell to
+        # move: it runs no descent and reads its table from cached columns
+        rng = np.random.default_rng(10)
+        targets = make_set(rng.uniform(-0.2, 0.2, size=(12, 2)))
+        base = floored_scaled_m(4.0)
+        calls, runs = [], []
+
+        def counting_m(deltas):
+            calls.append(len(deltas))
+            return base(deltas)
+
+        real_greedy, real_minimize = placement.greedy_init, placement.minimize
+
+        def watched_greedy(*args):
+            out = real_greedy(*args)
+            calls.clear()
+            return out
+
+        def counting_minimize(*args, **kwargs):
+            runs.append(1)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "greedy_init", watched_greedy)
+        monkeypatch.setattr(placement, "minimize", counting_minimize)
+        plan = plan_placement(
+            targets, counting_m, cost_ratio=50.0, pc_fixed=[np.zeros(2)], seed=0
+        )
+        assert plan.fixed_mask.tolist() == [True] and plan.la_iterations == 1
+        assert calls == [12]  # the first table; the sweep and the prune reuse it
+        assert runs == []
+
     def test_fixed_locations_from_a_generator(self):
         rng = np.random.default_rng(10)
         targets = make_set(rng.uniform(-0.2, 0.2, size=(12, 2)))
@@ -540,42 +680,42 @@ class TestPlanPlacement:
         targets = make_set(np.array([[a, b] for a in grid for b in grid]))
         m = iteration_map_m(0.1)
         real_locate, real_minimize = placement.locate, placement.minimize
-        descents = []
+        descended, located = [], []
 
         def counting_minimize(fun, x0, *args, **kwargs):
-            descents.append(x0)
+            cells = kwargs["args"][0]
+            descended.extend(
+                (cell.tobytes(), start.tobytes())
+                for cell, start in zip(cells, np.reshape(x0, (len(cells), -1)))
+            )
             return real_minimize(fun, x0, *args, **kwargs)
 
+        def recording_locate(cell, m, box, incumbent, restarts, memo):
+            before = len(descended)
+            out = real_locate(cell, m, box, incumbent, restarts, memo)
+            assert len(descended) == before  # locate starts no descent
+            located.append((cell, placement._starts(cell, incumbent, restarts)))
+            return out
+
         monkeypatch.setattr(placement, "minimize", counting_minimize)
-
-        def plan(fresh):
-            seen, repeated = set(), []
-
-            def recording_locate(cell, m, box, incumbent, rng, n_restarts, memo):
-                expected = copy.deepcopy(rng)
-                expected.uniform(size=n_restarts * box.dims)
-                key = (cell.tobytes(), incumbent.tobytes())
-                before = len(descents)
-                # without the planner's memo every call is made fresh
-                out = real_locate(
-                    cell, m, box, incumbent, rng, n_restarts, memo=None if fresh else memo
-                )
-                assert rng.bit_generator.state == expected.bit_generator.state
-                if key in seen:
-                    repeated.append(len(descents) - before)
-                seen.add(key)
-                return out
-
-            monkeypatch.setattr(placement, "locate", recording_locate)
-            return plan_placement(targets, m, cost_ratio=30.0, seed=0, n_restarts=2), repeated
-
-        memo_plan, memo_repeated = plan(fresh=False)
-        fresh_plan, fresh_repeated = plan(fresh=True)
-        assert memo_plan.la_iterations >= 2 and memo_repeated
-        assert memo_repeated == [2] * len(memo_repeated)  # the restarts only
-        assert sum(fresh_repeated) > sum(memo_repeated)
-        assert_array_equal(memo_plan.pc_locations, fresh_plan.pc_locations)
-        assert memo_plan.to_json_dict() == fresh_plan.to_json_dict()
+        monkeypatch.setattr(placement, "locate", recording_locate)
+        plan = plan_placement(targets, m, cost_ratio=30.0, seed=0, n_restarts=2)
+        assert plan.la_iterations >= 2
+        # each (cell, start) pair descends once per plan; without the memo
+        # every distinct start that is not a member would descend each sweep
+        assert len(set(descended)) == len(descended)
+        unmemoized = sum(
+            len({start.tobytes() for start in starts} - {row.tobytes() for row in cell})
+            for cell, starts in located
+        )
+        assert 0 < len(descended) < unmemoized
+        # the restarts are drawn from the seed once per located cell, in order
+        rng = np.random.default_rng(0)
+        for _, starts in located:
+            assert_array_equal(starts[2:], rng.uniform(-1, 1, size=(2, 2)))
+        # the memo belongs to one call: a second call gives the same plan
+        again = plan_placement(targets, m, cost_ratio=30.0, seed=0, n_restarts=2)
+        assert again.to_json_dict() == plan.to_json_dict()
 
     def test_emptied_cell_is_pruned(self, monkeypatch):
         # the first sweep leaves a chargeable preconditioner without a cell;

@@ -113,7 +113,7 @@ def _descent_end(cell, weight, c, member):
 
     box = ParamBox.symmetric_unit(cell.shape[1])
     res = minimize(
-        _value_and_gradient, member, args=(cell, m, box), method="L-BFGS-B",
+        _value_and_gradient, member, args=([cell], m, box), method="L-BFGS-B",
         jac=True, bounds=list(zip(box.lo, box.hi)),
     )
     return res.x
@@ -122,8 +122,8 @@ def _descent_end(cell, weight, c, member):
 @settings(max_examples=100, deadline=None)
 @given(cusp_cells(), st.data())
 def test_descent_from_a_member_returns_it(instance, data):
-    # the premise of locate's member skip: the cusp of the iteration map at
-    # zero shift keeps a descent from a member at its start
+    # the premise of the Weber step's member skip: the cusp of the iteration
+    # map at zero shift keeps a descent from a member at its start
     cell, weight, c = instance
     member = cell[data.draw(st.integers(0, cell.shape[0] - 1))]
     assert np.array_equal(_descent_end(cell, weight, c, member), member)

@@ -138,6 +138,21 @@ class TestKernel:
                 )
         assert_allclose(k, manual, atol=1e-14)
 
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_matrix_equals_the_broadcast_sum(self, dims):
+        # the (rows, train, d) broadcast summed over its last axis, as the
+        # kernel was once built; numpy sums an axis of 8 or more pairwise
+        rng = np.random.default_rng(dims)
+        x = rng.uniform(-1, 1, size=(330, dims))
+        y = rng.uniform(-1, 1, size=(20, dims))
+        lengths = rng.uniform(0.5, 6.0, size=dims)
+        broadcast = pair_kernel(x[:, None, :], y[None, :, :], lengths).sum(axis=2)
+        k = kernel_matrix(x, y, lengths)
+        if dims < 8:
+            assert k.tobytes() == broadcast.tobytes()
+        else:
+            assert_allclose(k, broadcast, rtol=1e-14)
+
     def test_gram_plus_jitter_positive_definite(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
