@@ -27,9 +27,9 @@ starts at a cell member: an iteration-count metric has a logarithmic
 cusp at zero shift, so a descent from a member returns its start (for an
 exception of negligible gain, see ``_descend``).  Each planner call keeps
 the descent ends in one dict keyed by (cell, start), and ``locate`` picks
-each cell's location among its starts, its members and those ends.  The
-planner also keeps the last metric table's columns by location bytes, so
-a sweep recomputes only the columns of the locations that moved.
+each cell's location among its starts, its members and those ends.  A
+sweep recomputes only the metric-table columns of the locations that
+moved.
 """
 
 from __future__ import annotations
@@ -86,22 +86,12 @@ def _objective(cost_ratio: float, fixed_mask, per_m: np.ndarray) -> float:
     return cost_ratio * n_charged + float(per_m.sum())
 
 
-def _metric_table(
-    points: np.ndarray, locations: np.ndarray, m, columns: dict | None = None
-) -> np.ndarray:
-    """m(y_i - yhat_k) for every target/preconditioner pair, (n, k).
-
-    ``columns`` maps a location's bytes to its column for the same points
-    and m; a column found there is copied, not recomputed.  A column is one
-    m call on ``points - location``, so a cached column has the bits a
-    fresh call would give.
-    """
+def _metric_table(points: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
+    """m(y_i - yhat_k) for every target/preconditioner pair, (n, k)."""
     n, k = points.shape[0], locations.shape[0]
-    columns = {} if columns is None else columns
     table = np.empty((n, k))
     for j in range(k):
-        column = columns.get(locations[j].tobytes())
-        table[:, j] = m(points - locations[j]) if column is None else column
+        table[:, j] = m(points - locations[j])
     return table
 
 
@@ -138,7 +128,9 @@ def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
 
     ``x`` stacks one location per cell.  The sum is separable, so its
     gradient is each cell's own.  Every cell's stencil [yhat, yhat + h e_1,
-    ..., yhat + h e_d] is evaluated in one m call; each step is flipped
+    ..., yhat + h e_d] is evaluated in one m call, stencil point by stencil
+    point over all cells' rows, so each cell total is a contiguous sum,
+    pairwise like ``np.sum`` of the cell's m values.  Each step is flipped
     backward where the forward step would leave the box, and the gradient
     divides by the realized step.
     """
@@ -150,9 +142,10 @@ def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
     stencils[:, axis + 1, axis] += step
     sizes = [cell.shape[0] for cell in cells]
     owner = np.repeat(np.arange(len(cells)), sizes)
-    shifts = np.concatenate(cells)[:, None, :] - stencils[owner]
-    values = np.asarray(m(shifts.reshape(-1, dims)), dtype=float).reshape(-1, dims + 1)
-    totals = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=0)
+    shifts = np.concatenate(cells)[None, :, :] - stencils[owner].transpose(1, 0, 2)
+    values = np.asarray(m(shifts.reshape(-1, dims)), dtype=float).reshape(dims + 1, -1)
+    ends = np.cumsum(sizes)
+    totals = np.stack([values[:, end - size : end].sum(axis=1) for size, end in zip(sizes, ends)])
     dx = (yhat + step) - yhat
     return float(totals[:, 0].sum()), ((totals[:, 1:] - totals[:, :1]) / dx).ravel()
 
@@ -212,18 +205,20 @@ def locate(
     """Weber step: the least-total candidate for the cell's location.
 
     The candidates are the incumbent, the cell centroid, every member, the
-    ``restarts`` and the descent ends ``memo`` holds for the cell from
-    those starts; ``locate`` starts no descent itself (``plan_placement``
-    fills the memo first, see ``_descend``).  All are scored in one m call,
-    and the first one of least total is returned; the incumbent comes
-    first, so the result is never worse than it and a tie keeps it.  It
-    counts as improved when it beats the incumbent by more than 1e-12.
+    ``restarts`` and the ends of the descents from those starts (``_descend``,
+    which runs only the ones ``memo`` lacks; ``plan_placement`` fills its
+    memo for all cells first, so there ``locate`` starts no descent).  All
+    are scored in one m call, and the first one of least total is returned;
+    the incumbent comes first, so the result is never worse than it and a
+    tie keeps it.  It counts as improved when it beats the incumbent by
+    more than 1e-12.
     """
     cell = np.atleast_2d(np.asarray(cell, dtype=float))
     if cell.shape[0] == 0:
         raise ValueError("cannot locate for an empty cell")
     starts = _starts(cell, np.asarray(incumbent, dtype=float), restarts)
     memo = {} if memo is None else memo
+    _descend([cell], [starts], m, box, memo)
     keys = dict.fromkeys((cell.tobytes(), start.tobytes()) for start in starts)
     ends = [memo[key] for key in keys if key in memo]
     candidates = np.vstack([starts[:2], cell, starts[2:], *ends])
@@ -330,8 +325,8 @@ def plan_placement(
     generator, in cell order, runs one batched descent per start slot
     (``_descend``, filling one memo keyed by (cell, start) that the whole
     call shares), re-centers each cell at the best of its candidates
-    (``locate``) and reallocates, reusing the table columns of locations
-    that did not move.  The sweeps stop when nothing moved, after
+    (``locate``) and reallocates, recomputing only the table columns of
+    the locations that moved.  The sweeps stop when nothing moved, after
     ``la_max_iter`` sweeps, or when a sweep gains fewer iterations than
     ``sweep_price(total_before, sweep_seconds)``; the default price is
     ``1e-4 * max(total_before, 1.0)``.
@@ -355,7 +350,6 @@ def plan_placement(
         tick = time.perf_counter()
         prev_total = sigma_trace[-1]
         prev_assignment = assignment
-        columns = {loc.tobytes(): table[:, j] for j, loc in enumerate(locations)}
 
         moving = [k for k in np.flatnonzero(~fixed_mask) if np.any(assignment == k)]
         cells = [points[assignment == k] for k in moving]
@@ -363,13 +357,16 @@ def plan_placement(
         starts = [_starts(*cell_args) for cell_args in zip(cells, locations[moving], restarts)]
         _descend(cells, starts, m, box, memo)
 
-        shifted = 0.0
+        shifted, moved = 0.0, []
         for k, cell, cell_restarts in zip(moving, cells, restarts):
             new_loc, _ = locate(cell, m, box, locations[k], cell_restarts, memo)
             shifted = max(shifted, float(np.max(np.abs(new_loc - locations[k]))))
+            if new_loc.tobytes() != locations[k].tobytes():
+                moved.append(k)
             locations[k] = new_loc
 
-        table = _metric_table(points, locations, m, columns)
+        for k in moved:
+            table[:, k] = m(points - locations[k])
         assignment, per_m = _assign(table)
         sigma_trace.append(float(per_m.sum()))
         if shifted <= 1e-12 and np.array_equal(assignment, prev_assignment):

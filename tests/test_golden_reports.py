@@ -102,9 +102,11 @@ def test_kappa_prices_sweeps_only_in_measured_mode(tmp_path):
 
 def test_a_sweep_runs_at_most_one_descent_per_start_slot(monkeypatch):
     # the Weber step descends all cells together, once per start slot (the
-    # incumbent, the centroid and each restart), however many cells move
-    runs, sweeps = [], []
+    # incumbent, the centroid and each restart), however many cells move;
+    # locate finds every descent of its cell already done
+    runs, sweeps, located = [], [], []
     real_minimize, real_descend = placement.minimize, placement._descend
+    real_locate = placement.locate
 
     def counting_minimize(*args, **kwargs):
         runs.append(1)
@@ -115,11 +117,20 @@ def test_a_sweep_runs_at_most_one_descent_per_start_slot(monkeypatch):
         real_descend(cells, *args)
         sweeps.append((len(cells), len(runs) - before))
 
+    def counting_locate(*args):
+        before = len(sweeps)
+        out = real_locate(*args)
+        located.extend(n_runs for _, n_runs in sweeps[before:])
+        del sweeps[before:]
+        return out
+
     monkeypatch.setattr(placement, "minimize", counting_minimize)
     monkeypatch.setattr(placement, "_descend", counting_descend)
+    monkeypatch.setattr(placement, "locate", counting_locate)
     doc = GOLDEN_CONFIGS["golden_affine"]
     _, _, plan = run_pipeline(ExperimentConfig.from_dict(doc))
     assert len(sweeps) == plan.la_iterations
+    assert located and not any(located)
     slots = 2 + doc["placement"]["n_restarts"]
     assert all(n_runs <= slots < n_cells for n_cells, n_runs in sweeps)
     assert runs
