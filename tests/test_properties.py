@@ -142,3 +142,15 @@ def test_descent_leaves_a_member_in_the_floor_band():
     weight = np.outer([1.0, 2.0**-23], [1.0, 2.0**-23])
     member = cell[4]
     assert np.array_equal(_descent_end(cell, weight, 1.0, member), member)
+
+
+@pytest.mark.xfail(strict=True, reason="the first line search can land near a heavier cluster")
+def test_descent_leaves_a_lone_member_for_a_heavier_cluster():
+    # An instance the search above can draw.  The first trial step from the
+    # lone member runs to the box edge, and the backtracking lands near the
+    # four coincident members at 0, where the total is far lower (510.7 at
+    # the member, 132.9 at the end); the lone member's cusp never comes
+    # into play.
+    cell = np.array([[0.01171875], [0.0], [0.0], [0.0], [0.0]])
+    member = cell[0]
+    assert np.array_equal(_descent_end(cell, np.array([[1.0]]), 36.0, member), member)
