@@ -25,6 +25,7 @@ import numpy as np
 from .helmholtz import (  # noqa: F401
     HelmholtzConfig,
     ProblemFamily,
+    _check_amplitude,
     affine_family,
     assemble,
     build_annulus_mesh,
@@ -177,6 +178,8 @@ class ExperimentConfig:
         else:
             if self.amplitude is None or self.decay is None:
                 raise ValueError("shape family needs amplitude and decay")
+            _check_amplitude(self.amplitude, self.decay)
+        self.helmholtz_config()  # rejects a mesh too coarse to build
         if self.sampling == "grid" and self.n_dims > 3:
             raise ValueError("grid sampling is offered for up to 3 dimensions")
         if self.n_points < 1:

@@ -83,6 +83,11 @@ class HelmholtzConfig:
             raise ValueError("wavenumber must be positive")
         if not 0 < self.tol < 1:
             raise ValueError("GMRES tolerance must lie in (0, 1)")
+        if self.h > self.r_out - self.r_in:
+            source = "mesh_size" if self.mesh_size is not None else "k0 and mesh_constant"
+            raise ValueError(
+                f"mesh size h={self.h:.3g} (from {source}) is too coarse for the annulus"
+            )
 
     @property
     def h(self) -> float:
@@ -146,8 +151,6 @@ def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
     """Triangulate the annulus with max edge length <= 1.5 h."""
     h = cfg.h
     span = cfg.r_out - cfg.r_in
-    if h > span:
-        raise ValueError(f"mesh size h={h:.3g} too coarse for the annulus")
     n_r = int(np.ceil(span / h)) + 1
     n_theta = max(int(np.ceil(2 * np.pi * cfg.r_out / h)), 8)
 
@@ -273,16 +276,21 @@ def max_safe_amplitude(decay: float) -> float:
     return HelmholtzConfig.r_in / (1.0 + np.sqrt(2.0) * (zeta(decay) - 1.0))
 
 
-def shape_family(
-    n_dims: int, amplitude: float, decay: float, cfg: HelmholtzConfig
-) -> ProblemFamily:
-    """Star-shaped scatterer with Fourier boundary modes, pulled back."""
+def _check_amplitude(amplitude: float, decay: float) -> None:
+    """Reject a shape amplitude outside (0, ``max_safe_amplitude(decay)``)."""
     cap = max_safe_amplitude(decay)
     if not 0 < amplitude < cap:
         raise ValueError(
             f"amplitude {amplitude:.4g} must stay below {cap:.4g} "
             f"for decay {decay:g}"
         )
+
+
+def shape_family(
+    n_dims: int, amplitude: float, decay: float, cfg: HelmholtzConfig
+) -> ProblemFamily:
+    """Star-shaped scatterer with Fourier boundary modes, pulled back."""
+    _check_amplitude(amplitude, decay)
     if n_dims < 1:
         raise ValueError("need at least one mode")
     w = _mode_norms(n_dims, amplitude, decay, cfg.grad_mollifier_bound)

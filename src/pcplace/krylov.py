@@ -4,9 +4,9 @@ The solver stack is deliberately small: sparse LU factorizations (SuperLU
 in symmetric mode: minimum degree on A + A^T, diagonal pivots preferred)
 wrapped as preconditioners, and a full, non-restarted left-preconditioned
 GMRES whose iteration count and preconditioned residual history are the
-quantities the rest of the package reasons about.  Iteration counts feed
-the surrogate; ``CostPolicy`` prices builds and solves from their nnz or
-their timings.
+quantities the rest of the package reasons about; its storage grows with
+the steps it takes.  Iteration counts feed the surrogate; ``CostPolicy``
+prices builds and solves from their nnz or their timings.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
 
 # Densification guard for the contraction-factor helper.
 _DENSE_GUARD = 2000
-
-# Krylov vectors allocated before the GMRES storage first grows.
-_FIRST_WIDTH = 32
 
 # SuperLU keeps a diagonal pivot unless it is below this fraction of the
 # largest entry in its column; 0.1 gave 5 % more fill on the k0 = 12 affine
@@ -128,13 +125,6 @@ def _givens(f: complex, g: float) -> tuple[float, complex]:
     return c, s
 
 
-def _grown(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Zero-padded copy of ``array`` enlarged to ``shape``."""
-    out = np.zeros(shape, dtype=array.dtype)
-    out[: array.shape[0], : array.shape[1]] = array
-    return out
-
-
 def gmres_left(
     pc: LuPreconditioner,
     matrix,
@@ -152,6 +142,10 @@ def gmres_left(
     report; a vanishing Arnoldi norm with a large residual raises
     :class:`BreakdownError`.  ``pc`` provides ``apply`` and ``apply_rhs``
     (P b, which may be cached and is never written to).
+
+    The Krylov basis, the rotated Hessenberg columns, the Givens rotations
+    and the rotated right-hand side g are lists that grow by one entry per
+    step, so memory follows the steps taken, not ``max_iter`` (up to n).
     """
     a = as_complex_csr(matrix)
     b = np.asarray(rhs, dtype=np.complex128)
@@ -177,47 +171,39 @@ def gmres_left(
             true_relative_residual=0.0,
         )
 
-    # The Krylov basis and the Hessenberg matrix grow by doubling: with
-    # max_iter up to n, full-size storage would be quadratic in n.
-    width = min(_FIRST_WIDTH, max_iter)
-    basis = np.empty((width + 1, n), dtype=np.complex128)
-    basis[0] = pb / beta
-    hess = np.zeros((width + 1, width), dtype=np.complex128)
-    cos = np.zeros(max_iter)
-    sin = np.zeros(max_iter, dtype=np.complex128)
-    g = np.zeros(max_iter + 1, dtype=np.complex128)
-    g[0] = beta
+    basis = [pb / beta]
+    cols = []  # column j of the rotated Hessenberg matrix, rows 0..j
+    cos, sin = [], []
+    g = [np.complex128(beta)]
     history = [1.0]
 
     steps = 0
     breakdown = False
     for j in range(max_iter):
-        if j == width:
-            width = min(2 * width, max_iter)
-            basis = _grown(basis, (width + 1, n))
-            hess = _grown(hess, (width + 1, width))
         w = pc.apply(a @ basis[j])
+        col = np.zeros(j + 1, dtype=np.complex128)
         # Modified Gram-Schmidt with one unconditional re-pass: the
         # preconditioned operators here cluster near the identity and a
         # second sweep keeps the recursion residual trustworthy.
         for _ in range(2):
             for i in range(j + 1):
                 h = np.vdot(basis[i], w)
-                hess[i, j] += h
+                col[i] += h
                 w -= h * basis[i]
         wnorm = float(np.linalg.norm(w))
-        hess[j + 1, j] = wnorm
 
-        # Apply accumulated rotations to the new column, then a fresh one.
+        # Apply accumulated rotations to the new column, then a fresh one
+        # that zeroes its subdiagonal entry wnorm.
         for i in range(j):
-            hi, hi1 = hess[i, j], hess[i + 1, j]
-            hess[i, j] = cos[i] * hi + sin[i] * hi1
-            hess[i + 1, j] = -np.conj(sin[i]) * hi + cos[i] * hi1
-        c, s = _givens(hess[j, j], wnorm)
-        cos[j], sin[j] = c, s
-        hess[j, j] = c * hess[j, j] + s * wnorm
-        hess[j + 1, j] = 0.0
-        g[j + 1] = -np.conj(s) * g[j]
+            hi, hi1 = col[i], col[i + 1]
+            col[i] = cos[i] * hi + sin[i] * hi1
+            col[i + 1] = -np.conj(sin[i]) * hi + cos[i] * hi1
+        c, s = _givens(col[j], wnorm)
+        cos.append(c)
+        sin.append(s)
+        col[j] = c * col[j] + s * wnorm
+        cols.append(col)
+        g.append(-np.conj(s) * g[j])
         g[j] = c * g[j]
 
         steps = j + 1
@@ -228,7 +214,7 @@ def gmres_left(
         if wnorm <= 1e-14 * beta:
             breakdown = True
             break
-        basis[j + 1] = w / wnorm
+        basis.append(w / wnorm)
 
     converged = history[-1] <= tol
     if breakdown and not converged:
@@ -238,10 +224,13 @@ def gmres_left(
         )
 
     # Back-substitute the small triangular system for the minimizer.
+    r = np.zeros((steps, steps), dtype=np.complex128)
+    for j, col in enumerate(cols):
+        r[: j + 1, j] = col
     y = np.zeros(steps, dtype=np.complex128)
     for i in range(steps - 1, -1, -1):
-        y[i] = (g[i] - hess[i, i + 1 : steps] @ y[i + 1 : steps]) / hess[i, i]
-    x = basis[:steps].T @ y
+        y[i] = (g[i] - r[i, i + 1 :] @ y[i + 1 :]) / r[i, i]
+    x = np.vstack(basis)[:steps].T @ y
     elapsed = time.perf_counter() - start
 
     residual = b - a @ x

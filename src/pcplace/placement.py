@@ -27,9 +27,10 @@ starts at a cell member: an iteration-count metric has a logarithmic
 cusp at zero shift, so a descent from a member returns its start (for an
 exception of negligible gain, see ``_descend``).  Each planner call keeps
 the descent ends in one dict keyed by (cell, start), and ``locate`` picks
-each cell's location among its starts, its members and those ends.  A
-sweep recomputes only the metric-table columns of the locations that
-moved.
+each cell's location among its starts, its members and those ends.  The
+descent and ``locate`` score cells through one routine, ``_cell_totals``,
+so a descent's values and ``locate``'s scores agree bitwise.  A sweep
+recomputes only the metric-table columns of the locations that moved.
 """
 
 from __future__ import annotations
@@ -117,10 +118,21 @@ def _assign(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _FD_STEP = 1e-8
 
 
-def _cell_totals(cell: np.ndarray, locations: np.ndarray, m) -> np.ndarray:
-    """Total m of the cell against each row of ``locations``, in one m call."""
-    shifts = (cell[None, :, :] - locations[:, None, :]).reshape(-1, cell.shape[1])
-    return np.asarray(m(shifts), dtype=float).reshape(locations.shape[0], -1).sum(axis=1)
+def _cell_totals(cells: list[np.ndarray], locations: np.ndarray, m) -> np.ndarray:
+    """Total m of each cell against each of its locations, (cells, L).
+
+    ``locations`` is (cells, L, d): L locations per cell.  One m call takes
+    the shifts location slot by location slot, each slot over all cells'
+    rows in cell order, so each cell total is a contiguous sum, pairwise
+    like ``np.sum`` of the cell's m values.
+    """
+    sizes = [cell.shape[0] for cell in cells]
+    owner = np.repeat(np.arange(len(cells)), sizes)
+    shifts = np.concatenate(cells)[None, :, :] - locations[owner].transpose(1, 0, 2)
+    values = np.asarray(m(shifts.reshape(-1, locations.shape[2])), dtype=float)
+    values = values.reshape(locations.shape[1], -1)
+    ends = np.cumsum(sizes)
+    return np.stack([values[:, end - size : end].sum(axis=1) for size, end in zip(sizes, ends)])
 
 
 def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
@@ -128,11 +140,10 @@ def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
 
     ``x`` stacks one location per cell.  The sum is separable, so its
     gradient is each cell's own.  Every cell's stencil [yhat, yhat + h e_1,
-    ..., yhat + h e_d] is evaluated in one m call, stencil point by stencil
-    point over all cells' rows, so each cell total is a contiguous sum,
-    pairwise like ``np.sum`` of the cell's m values.  Each step is flipped
-    backward where the forward step would leave the box, and the gradient
-    divides by the realized step.
+    ..., yhat + h e_d] is scored by one ``_cell_totals`` call, the one
+    ``locate`` scores its candidates with.  Each step is flipped backward
+    where the forward step would leave the box, and the gradient divides by
+    the realized step.
     """
     dims = box.dims
     yhat = np.asarray(x, dtype=float).reshape(len(cells), dims)
@@ -140,12 +151,7 @@ def _value_and_gradient(x, cells: list[np.ndarray], m, box: ParamBox):
     stencils = np.repeat(yhat[:, None, :], dims + 1, axis=1)
     axis = np.arange(dims)
     stencils[:, axis + 1, axis] += step
-    sizes = [cell.shape[0] for cell in cells]
-    owner = np.repeat(np.arange(len(cells)), sizes)
-    shifts = np.concatenate(cells)[None, :, :] - stencils[owner].transpose(1, 0, 2)
-    values = np.asarray(m(shifts.reshape(-1, dims)), dtype=float).reshape(dims + 1, -1)
-    ends = np.cumsum(sizes)
-    totals = np.stack([values[:, end - size : end].sum(axis=1) for size, end in zip(sizes, ends)])
+    totals = _cell_totals(cells, stencils, m)
     dx = (yhat + step) - yhat
     return float(totals[:, 0].sum()), ((totals[:, 1:] - totals[:, :1]) / dx).ravel()
 
@@ -222,7 +228,7 @@ def locate(
     keys = dict.fromkeys((cell.tobytes(), start.tobytes()) for start in starts)
     ends = [memo[key] for key in keys if key in memo]
     candidates = np.vstack([starts[:2], cell, starts[2:], *ends])
-    totals = _cell_totals(cell, candidates, m)
+    totals = _cell_totals([cell], candidates[None], m)[0]
     best = int(np.argmin(totals))
     return candidates[best], bool(totals[best] < totals[0] - 1e-12)
 

@@ -215,7 +215,9 @@ class GpState:
     mean see shifts only, which bakes translation invariance into the
     surrogate.  The Gram factorization is cached and refreshed when points
     are added; jitter starts at 1e-10 of the largest Gram diagonal and
-    escalates tenfold at most three times.
+    escalates tenfold at most three times.  ``mean`` and ``posterior``
+    share one evaluation of the posterior mean, so their means agree
+    bitwise; ``posterior`` adds the variance from the same cross-kernel.
     """
 
     def __init__(self, prior: SurrogatePrior, coeffs: tuple[float, float] = (1.0, 1.0)):
@@ -250,11 +252,6 @@ class GpState:
             self._weights = None
         return degenerate
 
-    def _prior_at(self, deltas) -> np.ndarray:
-        return prior_mean(
-            np.atleast_2d(deltas), self.coeffs, self.prior.b_weight, self.prior.d_weight
-        )
-
     def _ensure_factor(self):
         if self._factor is not None:
             return
@@ -280,30 +277,29 @@ class GpState:
     def _ensure_weights(self):
         self._ensure_factor()
         if self._weights is None:
-            resid = self.alphas - self._prior_at(self.deltas)
-            self._weights = scipy.linalg.cho_solve(self._factor, resid)
+            mu = prior_mean(self.deltas, self.coeffs, self.prior.b_weight, self.prior.d_weight)
+            self._weights = scipy.linalg.cho_solve(self._factor, self.alphas - mu)
+
+    def _mean_and_cross(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Posterior mean at the rows of ``d`` and their cross-kernel (``None`` untrained)."""
+        mu = prior_mean(d, self.coeffs, self.prior.b_weight, self.prior.d_weight)
+        if self.n_train == 0:
+            return mu, None
+        self._ensure_weights()
+        k_cross = kernel_matrix(d, self.deltas, self.prior.profile.corr_lengths)
+        return mu + k_cross @ self._weights, k_cross
 
     def mean(self, deltas: np.ndarray) -> np.ndarray:
         """Posterior mean of alpha at the given shifts, without the variance."""
-        d = np.atleast_2d(np.asarray(deltas, dtype=float))
-        mu = self._prior_at(d)
-        if self.n_train == 0:
-            return mu
-        self._ensure_weights()
-        k_cross = kernel_matrix(d, self.deltas, self.prior.profile.corr_lengths)
-        return mu + k_cross @ self._weights
+        return self._mean_and_cross(np.atleast_2d(np.asarray(deltas, dtype=float)))[0]
 
     def posterior(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance of alpha at the given shifts."""
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
-        lengths = self.prior.profile.corr_lengths
-        mu = self._prior_at(d)
-        k_self = pair_kernel(d, d, lengths).sum(axis=1)
-        if self.n_train == 0:
-            return mu, np.maximum(k_self, 0.0)
-        self._ensure_weights()
-        k_cross = kernel_matrix(d, self.deltas, lengths)
-        mean = mu + k_cross @ self._weights
+        mean, k_cross = self._mean_and_cross(d)
+        k_self = pair_kernel(d, d, self.prior.profile.corr_lengths).sum(axis=1)
+        if k_cross is None:
+            return mean, np.maximum(k_self, 0.0)
         back = scipy.linalg.cho_solve(self._factor, k_cross.T)
         var = k_self - np.einsum("ij,ji->i", k_cross, back)
         return mean, np.maximum(var, 0.0)

@@ -17,6 +17,8 @@ and say in the change log why they moved.
 from __future__ import annotations
 
 import copy
+import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -34,6 +36,7 @@ from pcplace.harness import (
 from pcplace.helmholtz import max_safe_amplitude
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).parents[1] / "bench"
 
 GOLDEN_CONFIGS = {
     # cheap builds: the planner places several preconditioners
@@ -86,6 +89,32 @@ def test_report_matches_golden_bytes(name, tmp_path):
     fresh = tmp_path / f"{name}.json"
     _write(name, fresh)
     assert fresh.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+# sha256 of the seed-0 pipeline report of each benchmark workload
+WORKLOAD_REPORTS = {
+    "desk-shape": "42515e8d4cc2e36afb2422422d1ad1a7a5cfbe57ab095c7c38540bda9748f39a",
+    "affine-place": "a017b12ca0f0bb7bd24376aafdf9018a9eeb4e9d5ec3efc37189e6bef0a1b538",
+    "many-targets": "35eb31c75d271ec3401314e80918263b6faf6454138896d8128f06dbfd7a1a71",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_REPORTS))
+def test_benchmark_workload_report_hash(workload, tmp_path):
+    """The benchmark's workloads keep their seed-0 reports byte for byte.
+
+    The configs come from ``bench/workloads.py``, loaded from its file and
+    not changed.  A change that is meant to alter a workload's report
+    updates its hash here, with the reason in the change log, and the
+    benchmark's reference hashes with the next change to ``bench/``.
+    """
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    exp = ExperimentConfig.from_dict(workloads.config_doc(workload, 0))
+    path = tmp_path / f"{workload}.json"
+    emit_report(run_pipeline(exp)[0], "json", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WORKLOAD_REPORTS[workload]
 
 
 def test_kappa_prices_sweeps_only_in_measured_mode(tmp_path):

@@ -141,28 +141,27 @@ class TestConfig:
             }
         )
         exp.build_family(exp.helmholtz_config())
-        bad = ExperimentConfig.from_dict(
-            {
-                "family": {
-                    "kind": "shape",
-                    "n_dims": 2,
-                    "amplitude": 1.5 * max_safe_amplitude(2.0),
-                    "decay": 2.0,
-                },
-                "k0": 5,
-                "n_points": 1,
-            }
-        )
-        with pytest.raises(ValueError):
-            bad.build_family(bad.helmholtz_config())
+        with pytest.raises(ValueError, match="amplitude"):
+            ExperimentConfig.from_dict(
+                {
+                    "family": {
+                        "kind": "shape",
+                        "n_dims": 2,
+                        "amplitude": 1.5 * max_safe_amplitude(2.0),
+                        "decay": 2.0,
+                    },
+                    "k0": 5,
+                    "n_points": 1,
+                }
+            )
 
     @pytest.mark.parametrize(
         "family, required",
         [
             ({"kind": "affine", "eta": [0.5, 0.75]},
              dict(family_kind="affine", n_dims=2, eta=(0.5, 0.75))),
-            ({"kind": "shape", "n_dims": 3, "amplitude": 1, "decay": 2},
-             dict(family_kind="shape", n_dims=3, amplitude=1.0, decay=2.0)),
+            ({"kind": "shape", "n_dims": 3, "amplitude": 0.1, "decay": 2},
+             dict(family_kind="shape", n_dims=3, amplitude=0.1, decay=2.0)),
         ],
     )
     def test_minimal_document_takes_field_defaults(self, family, required):
@@ -619,6 +618,33 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"mesh_size": 10.0}, "mesh_size"),
+            ({"k0": 1e-3}, "k0"),
+            ({"family": {"kind": "shape", "n_dims": 2, "amplitude": 0.9, "decay": 2.0}},
+             "amplitude"),
+        ],
+    )
+    def test_unbuildable_config_fails_before_the_output_directory(
+        self, tmp_path, capsys, change, key
+    ):
+        # schema-valid, but the mesh or the family cannot be built
+        doc = {
+            "family": {"kind": "affine", "eta": [0.5]},
+            "k0": 5.0,
+            "n_points": 5,
+            "output_dir": str(tmp_path / "out"),
+            **change,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_error(self, tmp_path, capsys):

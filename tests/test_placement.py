@@ -270,7 +270,7 @@ class TestLocate:
             return [memo[c.tobytes(), c.mean(axis=0).tobytes()] for c in cells]
 
         def total(y):
-            return placement._cell_totals(smooth, y[None], m)[0]
+            return placement._cell_totals([smooth], y[None, None], m)[0, 0]
 
         (alone,) = centroid_ends([smooth])
         centroid_ends([cusp])
@@ -331,7 +331,7 @@ class TestLocate:
         monkeypatch.setattr(placement, "minimize", start_minimize)
         cell = np.array([[0.9], [0.8], [0.0], [0.7], [-0.01], [0.01]])
         m = iteration_map_m(1.0)
-        totals = placement._cell_totals(cell, cell, m)
+        totals = placement._cell_totals([cell], cell[None], m)[0]
         assert int(np.argmin(totals)) == 2  # members 0, 3 and 5 are the old picks
         loc, improved = locate(cell, m, self.BOX, cell[0], ())
         assert_array_equal(loc, cell[2])
@@ -343,7 +343,7 @@ class TestLocate:
         # the start with the value of its last trial point)
         cell = np.array([[-0.1], [0.1]])
         m = iteration_map_m(1.0)
-        totals = placement._cell_totals(cell, cell, m)
+        totals = placement._cell_totals([cell], cell[None], m)[0]
         assert totals[0] == totals[1]
         memo = {}
         placement._descend([cell], [placement._starts(cell, cell[0], ())], m, self.BOX, memo)
@@ -359,7 +359,7 @@ class TestLocate:
         loc, improved = locate(cell, m, self.BOX, cell[0].copy(), (), memo)
         assert_array_equal(loc, cell[0])
         assert not improved
-        assert cell_totals(cell, loc[None], m)[0] == scored[-1].min()
+        assert cell_totals([cell], loc[None, None], m)[0, 0] == scored[-1].min()
 
     def test_memo_reuses_a_descent_across_incumbents(self, monkeypatch):
         starts = []

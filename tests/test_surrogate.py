@@ -268,6 +268,22 @@ class TestPosterior:
         d = rng.uniform(-1, 1, size=(rows, dims))
         assert np.array_equal(gp.mean(d), gp.posterior(d)[0])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pair_kernel depends only on |d1| and |d2|, so sign-flip twins "
+        "have one kernel row and the Gram matrix is singular up to jitter",
+    )
+    def test_interpolates_sign_flip_twins(self):
+        # the twins also share their prior mean: today both read 0.045, the
+        # average, through weights of about +-5e7
+        gp = GpState(make_prior(2), coeffs=(0.0, 0.1))
+        gp.add_pair(np.zeros(2), IterationMap().alpha_from_iters(1.0))  # origin pin
+        twins = np.array([[0.3, 0.2], [-0.3, 0.2]])
+        alphas = np.array([0.04, 0.05])
+        for delta, alpha in zip(twins, alphas):
+            gp.add_pair(delta, alpha)
+        assert_allclose(gp.mean(twins), alphas, rtol=0, atol=1e-6)
+
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(8)
         prior = make_prior(3)
