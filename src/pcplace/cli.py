@@ -7,8 +7,8 @@ Subcommands:
   baseline  mean-based and/or per-point baseline runs
   report    convert a JSON report to CSV (or re-emit JSON)
 
-Exit codes: 0 success, 2 degraded (some solve missed its tolerance),
-1 error.
+Exit codes: 0 success, 2 degraded (some solve missed its tolerance or
+failed), 1 error.
 """
 
 from __future__ import annotations

@@ -424,7 +424,8 @@ def _report(
 
     The first ``n_train`` log records are surrogate training, the rest are
     execution.  Every build in the log costs ``n_ratio`` iterations and
-    every solve the iterations it took.
+    every solve the iterations it took.  A failed solve's record carries
+    its error, the report is then degraded, and ``it_av`` leaves it out.
     """
     targets, log = oracle.points, oracle.log
     solves = [(k, r) for k, r in enumerate(log) if r.position is not None]
@@ -436,10 +437,11 @@ def _report(
             "pc": r.pc,
             "iterations": int(r.iterations),
             "converged": bool(r.converged),
+            **({} if r.error is None else {"error": f"{type(r.error).__name__}: {r.error}"}),
         }
         for k, r in solves
     ]
-    exec_iters = [r.iterations for k, r in solves if k >= n_train]
+    exec_iters = [r.iterations for k, r in solves if k >= n_train and r.error is None]
     n_pc = len(log) - len(solves)
     return RunReport(
         label=label,

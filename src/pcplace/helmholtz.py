@@ -110,7 +110,8 @@ class AnnulusMesh:
     Precomputed element geometry (areas, P1 gradients, quadrature points,
     outer-edge data) is carried along; the first ``assemble`` call caches
     an ``Assembler`` on the mesh, so repeated assembly over parameter
-    values touches only coefficient evaluation and one scatter.
+    values forms a precomputed combination (``affine``) or evaluates the
+    coefficients and scatters once (``shape``).
     """
 
     nodes: np.ndarray
@@ -529,13 +530,18 @@ def _dirichlet_selection(indptr, indices, nodes, n: int):
 class Assembler:
     """The scattering system of one (family, mesh, cfg) at any parameter y.
 
-    Everything independent of y is computed once: the coefficient tables
-    at the quadrature points (mode values and derivatives in the polar
-    frame for ``shape``; sector and mollifier for ``affine``), the
-    per-element stiffness data and the P1 mass template, the CSR pattern
-    with the index scattering the 9 entries of every element into it, the
-    Robin block, the Dirichlet elimination of the scatterer nodes and the
-    incident right-hand side.  A call evaluates the coefficients, forms the
+    Everything independent of y is computed once: the CSR pattern with the
+    index scattering the 9 entries of every element into it, the Robin
+    block, the Dirichlet elimination of the scatterer nodes and the
+    incident right-hand side.
+
+    An ``affine`` system is affine in y, so its values are scattered once
+    too, as d_0 + sum_j y_j d_j: d_0 is the system with refraction
+    1 - chi eta_j / 2 in sector j, and d_j holds the -k0^2 mass of
+    chi eta_j / 2 in sector j, on that sector's entries only.  A call forms
+    that combination.  A ``shape`` system is nonlinear in y: its mode
+    tables in the polar frame and per-element gradient products are
+    precomputed, and a call evaluates the pull-back coefficients, forms the
     element matrices and scatters them into the fixed pattern.
     """
 
@@ -551,27 +557,6 @@ class Assembler:
         self._shape = (n, n)
         qp = mesh.quad_points.transpose(1, 0, 2).reshape(-1, 2)
         self._weights = mesh.areas / 3.0
-        if family.kind == "affine":
-            self._sector = _sectors(_angles(qp), family.n_dims).reshape(3, m)
-            self._chi = mollifier(qp, cfg).reshape(3, m)
-            grads = mesh.grads
-            self._stiffness = (
-                np.einsum("tik,tjk->tij", grads, grads) * mesh.areas[:, None, None]
-            ).reshape(m, 9).T.copy()
-        else:
-            self._frame = _polar_frame(qp, family, cfg)
-            gx, gy = mesh.grads[:, :, 0].T, mesh.grads[:, :, 1].T
-
-            def products(u, v):
-                return self._weights * u[_ENTRY_ROW] * v[_ENTRY_COL]
-
-            # w g_i^T S g_j for S = [[s00, s01], [s01, s11]] is
-            # s00 * xx + s01 * (xy + yx) + s11 * yy
-            self._grad_products = (
-                products(gx, gx),
-                products(gx, gy) + products(gy, gx),
-                products(gy, gy),
-            )
 
         # CSR pattern of the element and Robin entries, in canonical order
         tri, edges = mesh.triangles.T, mesh.outer_edges
@@ -603,11 +588,58 @@ class Assembler:
         self._rhs = incident_rhs(mesh, cfg)
         self._rhs[mesh.inner_boundary] = 0.0
 
-    def _element_data(self, y: np.ndarray):
-        """Element stiffness entries (9, m) and refraction at the nodes (3, m)."""
+        if family.kind == "affine":
+            sector = _sectors(_angles(qp), family.n_dims).reshape(3, m)
+            half = mollifier(qp, cfg).reshape(3, m) * (family.eta / 2.0)[sector]
+            stiffness = (
+                np.einsum("tik,tjk->tij", mesh.grads, mesh.grads)
+                * mesh.areas[:, None, None]
+            ).reshape(m, 9).T
+            self._base = self._robin + self._scatter(stiffness, 1.0 - half)
+            self._sector_terms = []
+            for j in range(family.n_dims):
+                term = self._scatter(0.0, np.where(sector == j, half, 0.0))
+                entries = np.flatnonzero(term)
+                self._sector_terms.append((entries, term[entries]))
+        else:
+            self._frame = _polar_frame(qp, family, cfg)
+            gx, gy = mesh.grads[:, :, 0].T, mesh.grads[:, :, 1].T
+
+            def products(u, v):
+                return self._weights * u[_ENTRY_ROW] * v[_ENTRY_COL]
+
+            # w g_i^T S g_j for S = [[s00, s01], [s01, s11]] is
+            # s00 * xx + s01 * (xy + yx) + s11 * yy
+            self._grad_products = (
+                products(gx, gx),
+                products(gx, gy) + products(gy, gx),
+                products(gy, gy),
+            )
+
+    def _scatter(self, stiffness, refraction) -> np.ndarray:
+        """Stiffness - k0^2 mass on the full pattern, without the Robin mass.
+
+        ``stiffness`` holds the element entries (9, m) and ``refraction``
+        the coefficient at the quadrature nodes (3, m).
+        """
+        mass = _MASS_TEMPLATE.T @ (self._weights * refraction)
+        values = stiffness - self.cfg.k0**2 * mass
+        return np.bincount(self._slot, weights=values.ravel(), minlength=self._robin.size)
+
+    def _data(self, y) -> np.ndarray:
+        """Values on the full pattern: stiffness - k0^2 mass - i k0 Robin mass."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.family.n_dims,):
+            raise ValueError("parameter dimension does not match the family")
         if self.family.kind == "affine":
-            refraction = _affine_index(y, self.family.eta, self._sector, self._chi)
-            return self._stiffness, refraction
+            data = self._base.copy()
+            for y_j, (entries, values) in zip(y, self._sector_terms):
+                data[entries] += y_j * values
+            return data
+        return self._robin + self._scatter(*self._element_data(y))
+
+    def _element_data(self, y: np.ndarray):
+        """Element stiffness entries (9, m) and refraction at the nodes (3, m) of ``shape``."""
         a00, a01, a11, det = _pullback(y, self._frame)
         xx, xy, yy = self._grad_products
         stiffness = (
@@ -616,18 +648,6 @@ class Assembler:
             + a11.reshape(3, -1).sum(axis=0) * yy
         )
         return stiffness, det.reshape(3, -1)
-
-    def _data(self, y) -> np.ndarray:
-        """Values on the full pattern: stiffness - k0^2 mass - i k0 Robin mass."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.family.n_dims,):
-            raise ValueError("parameter dimension does not match the family")
-        stiffness, refraction = self._element_data(y)
-        mass = _MASS_TEMPLATE.T @ (self._weights * refraction)
-        values = stiffness - self.cfg.k0**2 * mass
-        return self._robin + np.bincount(
-            self._slot, weights=values.ravel(), minlength=self._robin.size
-        )
 
     def operator(self, y) -> sp.csr_matrix:
         """The system before the Dirichlet elimination."""

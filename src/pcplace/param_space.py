@@ -218,8 +218,12 @@ def batch_weighted_norm(deltas: np.ndarray, weight: WeightMatrix) -> np.ndarray:
     d = np.atleast_2d(np.asarray(deltas, dtype=float))
     if d.shape[1] != weight.dims:
         raise ValueError("delta dimension does not match the weight matrix")
-    q = np.einsum("ij,jk,ik->i", d, weight.entries, d)
-    return np.sqrt(np.maximum(q, 0.0))
+    return _row_norms(d, weight.entries)
+
+
+def _row_norms(d: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The arithmetic of ``batch_weighted_norm``, without its checks."""
+    return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", d, entries, d), 0.0))
 
 
 def anisotropy_profile(

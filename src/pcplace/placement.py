@@ -23,9 +23,9 @@ assignment as it is and saves one build.
 A sweep descends all moving cells together: one L-BFGS-B run per start
 slot (incumbent, centroid, each restart) over their stacked locations,
 whose objective, the sum of the cell totals, is separable.  No descent
-starts at a cell member: an iteration-count metric has a logarithmic
-cusp at zero shift, so a descent from a member returns its start (for an
-exception of negligible gain, see ``_descend``).  Each planner call keeps
+starts at a cell member: every member is scored anyway, and an
+iteration-count metric's logarithmic cusp at zero shift usually returns
+such a descent to its start (see ``_descend``).  Each planner call keeps
 the descent ends in one dict keyed by (cell, start), and ``locate`` picks
 each cell's location among its starts, its members and those ends.  The
 descent and ``locate`` score cells through one routine, ``_cell_totals``,
@@ -173,13 +173,16 @@ def _descend(cells: list[np.ndarray], starts: list[np.ndarray], m, box: ParamBox
     to the box, not paired with ``res.fun``: after an abnormal line-search
     exit scipy returns the start but the value of its last trial point.
 
-    Members are not descended from: an iteration-count metric rises from
-    its one-iteration floor with a logarithmic cusp (infinite slope) at
-    zero shift, so a descent from a member returns its start after a failed
-    line search, unless a finite-difference step along some weakly
-    weighted direction stays in the floor: the other members then pull it
-    off for a gain near 1e-9 iterations (strict xfail
-    ``test_descent_leaves_a_member_in_the_floor_band``).
+    Members are not descended from: ``locate`` scores every member, and
+    an iteration-count metric rises from its one-iteration floor with a
+    logarithmic cusp (infinite slope) at zero shift, so a descent from a
+    member usually returns its start after a failed line search.  It can
+    leave it: a finite-difference step along a weakly weighted direction
+    that stays in the floor, or a first trial step that lands near a
+    heavier cluster (the strict xfails ``test_descent_leaves_*``).  The
+    property test ``test_locate_is_no_worse_than_a_descent_from_a_member``
+    checks that the skip still loses nothing: ``locate``'s pick totals no
+    more than such a descent's end.
     """
     keys = [cell.tobytes() for cell in cells]
     members = [{row.tobytes() for row in cell} for cell in cells]

@@ -30,12 +30,13 @@ import numpy as np
 import scipy.linalg
 
 from . import helmholtz
-from .krylov import gmres_left, lu_factor
+from .krylov import BreakdownError, gmres_left, lu_factor
 from .param_space import (
     AnisotropyProfile,
     ParamSet,
     SurrogatePrior,
     WeightMatrix,
+    _row_norms,
     batch_weighted_norm,
 )
 
@@ -84,9 +85,7 @@ class IterationMap:
         a = np.asarray(alpha, dtype=float)
         if np.any(a <= 0) or np.any(a >= 1):
             raise ValueError("contraction factor must lie strictly in (0, 1)")
-        s = np.sqrt(a)
-        # rate = 2 s / (1 + a) = 1 - (1 - s)^2 / (1 + a)
-        out = np.log(self.tol) / np.log1p(-((1 - s) ** 2) / (1 + a))
+        out = _iterations(a, self.tol)
         return float(out) if np.isscalar(alpha) else out
 
     def alpha_from_iters(self, m):
@@ -100,6 +99,13 @@ class IterationMap:
         s = c / (1 + np.sqrt(one_minus_c2))
         out = s * s
         return float(out) if np.isscalar(m) else out
+
+
+def _iterations(a: np.ndarray, tol: float) -> np.ndarray:
+    """The arithmetic of ``IterationMap.iters_from_alpha``, without its domain check."""
+    s = np.sqrt(a)
+    # rate = 2 s / (1 + a) = 1 - (1 - s)^2 / (1 + a)
+    return np.log(tol) / np.log1p(-((1 - s) ** 2) / (1 + a))
 
 
 def prior_mean(
@@ -117,8 +123,20 @@ def prior_mean(
     if c1 < 0 or c2 < 0:
         raise ValueError("hyperparameters must be nonnegative")
     d = np.atleast_2d(np.asarray(deltas, dtype=float))
-    out = c1 * batch_weighted_norm(d, d_weight) + c2 * batch_weighted_norm(d, b_weight)
+    if d.shape[1] != b_weight.dims or d.shape[1] != d_weight.dims:
+        raise ValueError("delta dimension does not match the weight matrix")
+    out = _prior_rows(d, c1, c2, b_weight.entries, d_weight.entries)
     return out if np.asarray(deltas).ndim > 1 else float(out[0])
+
+
+def _prior_rows(d, c1, c2, b_entries, d_entries) -> np.ndarray:
+    """The arithmetic of ``prior_mean`` on the rows of ``d``, without its checks.
+
+    ``d_entries`` None skips the D term, which is bitwise neutral where
+    that term is zero: c1 * 0 + x = x.
+    """
+    out = c2 * _row_norms(d, b_entries)
+    return out if d_entries is None else c1 * _row_norms(d, d_entries) + out
 
 
 def pair_kernel(d1, d2, length):
@@ -131,12 +149,9 @@ def pair_kernel(d1, d2, length):
     """
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    return (
-        2.0
-        * d1
-        * d2
-        * (np.exp(-np.abs(d1 - d2) / length) - np.exp(-np.abs(d1 + d2) / length))
-    )
+    # x / -l is bitwise -x / l, one pass over the grid fewer
+    scale = -np.asarray(length, dtype=float)
+    return 2.0 * d1 * d2 * (np.exp(np.abs(d1 - d2) / scale) - np.exp(np.abs(d1 + d2) / scale))
 
 
 def kernel_matrix(
@@ -152,9 +167,14 @@ def kernel_matrix(
     x = np.atleast_2d(np.asarray(x_deltas, dtype=float))
     y = np.atleast_2d(np.asarray(y_deltas, dtype=float))
     lengths = np.broadcast_to(np.asarray(corr_lengths, dtype=float), x.shape[1:])
-    out = pair_kernel(x[:, :1], y[:, 0], lengths[0])
+    return _kernel_rows(x, y.T, lengths)
+
+
+def _kernel_rows(x: np.ndarray, columns, lengths) -> np.ndarray:
+    """The arithmetic of ``kernel_matrix`` against training columns, one per dimension."""
+    out = pair_kernel(x[:, :1], columns[0], lengths[0])
     for j in range(1, x.shape[1]):
-        out += pair_kernel(x[:, j : j + 1], y[:, j], lengths[j])
+        out += pair_kernel(x[:, j : j + 1], columns[j], lengths[j])
     return out
 
 
@@ -208,6 +228,18 @@ def fit_hyperparameters(
     return (float(pick[0]), float(pick[1])), False
 
 
+class _MeanState(NamedTuple):
+    """What a ``GpState``'s posterior mean holds fixed between two fits."""
+
+    c1: float
+    c2: float
+    b_entries: np.ndarray
+    d_entries: np.ndarray | None  # None where the D term is zero
+    columns: np.ndarray  # training shifts, one contiguous row per dimension
+    lengths: tuple[float, ...]
+    weights: np.ndarray | None  # None before any pair is added
+
+
 class GpState:
     """Gaussian process over contraction factors on parameter shifts.
 
@@ -215,9 +247,13 @@ class GpState:
     mean see shifts only, which bakes translation invariance into the
     surrogate.  The Gram factorization is cached and refreshed when points
     are added; jitter starts at 1e-10 of the largest Gram diagonal and
-    escalates tenfold at most three times.  ``mean`` and ``posterior``
-    share one evaluation of the posterior mean, so their means agree
-    bitwise; ``posterior`` adds the variance from the same cross-kernel.
+    escalates tenfold at most three times.  Everything else the posterior
+    mean holds fixed is built once per fit as well (``_MeanState``: the
+    coefficients, B, D unless its term is zero, the training columns and
+    lengths, the weights) and dropped by ``add_pair`` and ``refit_coeffs``.
+    ``mean`` and ``posterior`` share one evaluation of the posterior mean,
+    so their means agree bitwise; ``posterior`` adds the variance from the
+    same cross-kernel.
     """
 
     def __init__(self, prior: SurrogatePrior, coeffs: tuple[float, float] = (1.0, 1.0)):
@@ -227,7 +263,7 @@ class GpState:
         self.alphas = np.empty(0)
         self.jitter: float = 0.0
         self._factor = None
-        self._weights = None
+        self._state: _MeanState | None = None
 
     @property
     def n_train(self) -> int:
@@ -240,7 +276,7 @@ class GpState:
         self.deltas = np.vstack([self.deltas, delta])
         self.alphas = np.append(self.alphas, float(alpha))
         self._factor = None
-        self._weights = None
+        self._state = None
 
     def refit_coeffs(self) -> bool:
         """MSE-fit the prior coefficients to the current pairs."""
@@ -249,7 +285,7 @@ class GpState:
         )
         if not degenerate:
             self.coeffs = (float(coeffs[0]), float(coeffs[1]))
-            self._weights = None
+            self._state = None
         return degenerate
 
     def _ensure_factor(self):
@@ -274,20 +310,36 @@ class GpState:
             f"Cholesky failed up to jitter {jitter / 10.0:.3e}"
         )
 
-    def _ensure_weights(self):
-        self._ensure_factor()
-        if self._weights is None:
-            mu = prior_mean(self.deltas, self.coeffs, self.prior.b_weight, self.prior.d_weight)
-            self._weights = scipy.linalg.cho_solve(self._factor, self.alphas - mu)
+    def _mean_state(self) -> _MeanState:
+        if self._state is None:
+            prior = self.prior
+            # checks the coefficients, which the state's users skip
+            mu = prior_mean(self.deltas, self.coeffs, prior.b_weight, prior.d_weight)
+            weights = None
+            if self.n_train:
+                self._ensure_factor()
+                weights = scipy.linalg.cho_solve(self._factor, self.alphas - mu)
+            c1, c2 = self.coeffs
+            d_entries = prior.d_weight.entries
+            self._state = _MeanState(
+                c1,
+                c2,
+                prior.b_weight.entries,
+                d_entries if c1 and d_entries.any() else None,
+                self.deltas.T.copy(),
+                tuple(float(v) for v in prior.profile.corr_lengths),
+                weights,
+            )
+        return self._state
 
     def _mean_and_cross(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Posterior mean at the rows of ``d`` and their cross-kernel (``None`` untrained)."""
-        mu = prior_mean(d, self.coeffs, self.prior.b_weight, self.prior.d_weight)
-        if self.n_train == 0:
+        state = self._mean_state()
+        mu = _prior_rows(d, state.c1, state.c2, state.b_entries, state.d_entries)
+        if state.weights is None:
             return mu, None
-        self._ensure_weights()
-        k_cross = kernel_matrix(d, self.deltas, self.prior.profile.corr_lengths)
-        return mu + k_cross @ self._weights, k_cross
+        k_cross = _kernel_rows(d, state.columns, state.lengths)
+        return mu + k_cross @ state.weights, k_cross
 
     def mean(self, deltas: np.ndarray) -> np.ndarray:
         """Posterior mean of alpha at the given shifts, without the variance."""
@@ -368,10 +420,15 @@ class TrainedSurrogate:
         return self.tau_pc / self.m_max
 
     def expected_iterations(self, deltas: np.ndarray) -> np.ndarray:
-        """Estimated GMRES iterations for the given parameter shifts (>= 1)."""
+        """Estimated GMRES iterations for the given parameter shifts (>= 1).
+
+        The planner's metric: it reads the GP's fixed mean state, and the
+        clip keeps alpha inside the iteration map's domain, so its check
+        is skipped.
+        """
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
-        alpha = np.clip(self.gp.mean(d), ALPHA_MIN, ALPHA_MAX)
-        m = np.maximum(1.0, self.iter_map.iters_from_alpha(alpha))
+        alpha = np.clip(self.gp._mean_and_cross(d)[0], ALPHA_MIN, ALPHA_MAX)
+        m = np.maximum(1.0, _iterations(alpha, self.iter_map.tol))
         return m if np.asarray(deltas).ndim > 1 else float(m[0])
 
     def acquisition(self, deltas: np.ndarray) -> np.ndarray:
@@ -568,6 +625,7 @@ class LogRecord(NamedTuple):
     iterations: int
     converged: bool
     cost: float  # priced by the oracle's cost policy
+    error: Exception | None = None  # what stopped a failed solve
 
 
 class FemSolveOracle:
@@ -577,8 +635,10 @@ class FemSolveOracle:
     mesh and solver config, and the cost policy that prices each build and
     solve.  ``build`` factors the operator at a parameter point and ``run``
     solves one target with a given preconditioner; each call appends one
-    ``LogRecord`` to ``log``, in call order.  ``build_reference`` and
-    ``solve`` are the training oracle on top of them.
+    ``LogRecord`` to ``log``, in call order.  A solve whose assembly or
+    GMRES raises is logged as unconverged, with its error, at no cost, and
+    the run goes on.  ``build_reference`` and ``solve`` are the training
+    oracle on top of them; a failed training solve raises its error.
     """
 
     def __init__(self, points: ParamSet, family, mesh, cfg, cost_policy):
@@ -598,10 +658,17 @@ class FemSolveOracle:
         return pc
 
     def run(self, position: int, pc, label):
-        """Solve the target at ``position`` with ``pc``, logged under ``label``."""
+        """Solve the target at ``position`` with ``pc``, logged under ``label``.
+
+        Returns the solve's report, or ``None`` when it failed.
+        """
         y = self.points.points[position]
-        matrix, rhs = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
-        report = gmres_left(pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter)
+        try:
+            matrix, rhs = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
+            report = gmres_left(pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter)
+        except (helmholtz.DegenerateMapError, BreakdownError) as exc:
+            self.log.append(LogRecord(position, label, 0, False, 0.0, exc))
+            return None
         cost = self.policy.solve_cost(pc, report)
         self.log.append(LogRecord(position, label, report.iterations, report.converged, cost))
         return report
@@ -614,6 +681,8 @@ class FemSolveOracle:
     def solve(self, position: int):
         """Training solve with the reference preconditioner."""
         report = self.run(position, self.reference_pc, "mean")
+        if report is None:
+            raise self.log[-1].error
         return report.iterations, report.solution
 
     def n_ratio(self) -> float:

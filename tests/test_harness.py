@@ -323,6 +323,42 @@ class TestPipeline:
         assert report.degraded
         assert any(not rec["converged"] for rec in report.per_point)
 
+    def test_a_failed_execution_solve_degrades_only_its_point(self, monkeypatch):
+        exp = small_affine_config()
+        clean, _, _ = run_pipeline(exp)
+        # the oracle calls gmres_left once per solve, in the report's phase
+        # order: training first, then execution
+        phases = [rec["phase"] for rec in sorted(clean.per_point, key=lambda r: r["index"])]
+        n_train = phases.count("train")
+        calls = []
+
+        def failing_gmres(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == n_train + 3:
+                raise krylov.BreakdownError("zero Arnoldi vector")
+            return krylov.gmres_left(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "gmres_left", failing_gmres)
+        report, _, _ = run_pipeline(exp)
+        assert not clean.degraded and report.degraded
+        failed = [rec for rec in report.per_point if "error" in rec]
+        assert len(failed) == 1
+        assert failed[0]["error"] == "BreakdownError: zero Arnoldi vector"
+        assert failed[0]["phase"] == "exec"
+        assert not failed[0]["converged"] and failed[0]["iterations"] == 0
+        others = [rec for rec in clean.per_point if rec["index"] != failed[0]["index"]]
+        assert [rec for rec in report.per_point if "error" not in rec] == others
+        solved = [rec["iterations"] for rec in others if rec["phase"] == "exec"]
+        assert report.it_av == np.mean(solved)
+
+    def test_a_failed_training_solve_raises(self, monkeypatch):
+        def failing_gmres(*args, **kwargs):
+            raise krylov.BreakdownError("zero Arnoldi vector")
+
+        monkeypatch.setattr(surrogate, "gmres_left", failing_gmres)
+        with pytest.raises(krylov.BreakdownError):
+            run_pipeline(small_affine_config(n_points=6))
+
     def test_measured_cost_mode_smoke(self):
         exp = small_affine_config(
             n_points=6, cost={"mode": "measured", "c_build": 1e-4, "c_iter": 1e-6}

@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from pcplace.helmholtz import (
+    _QUAD_PHI,
     DegenerateMapError,
     INCIDENT_DIRECTION,
     HelmholtzConfig,
@@ -346,8 +347,6 @@ class TestPullback:
 
 def reference_system(y, fam, mesh, cfg):
     """Element-by-element assembly with explicit inverses, as a dict of entries."""
-    from pcplace.helmholtz import _QUAD_PHI
-
     entries = {}
 
     def add(i, j, v):
@@ -534,3 +533,63 @@ class TestAssembly:
         bad_y = np.array([-8.0, 0.0])
         with pytest.raises(DegenerateMapError):
             pullback_coefficients(bad_y, np.array([0.5, 0.0]), fam, cfg)
+
+
+def scattered_affine_system(y, fam, mesh, cfg):
+    """An affine system at ``y`` by the element scatter, with each entry's scale.
+
+    The element matrices of the refractive index at ``y`` and the Robin
+    block are summed into the CSR pattern and the scatterer eliminated, as
+    the assembler did before it precomputed the affine combination.  The
+    scale of an entry is the sum of the magnitudes of the terms it adds up.
+    """
+    index = affine_refractive_index(y, mesh.quad_points, fam, cfg)
+    stiffness = np.einsum("tik,tjk->tij", mesh.grads, mesh.grads) * mesh.areas[:, None, None]
+    mass = cfg.k0**2 * np.einsum("t,tq,qi,qj->tij", mesh.areas / 3.0, index, _QUAD_PHI, _QUAD_PHI)
+    tri, edges = mesh.triangles, mesh.outer_edges
+    lengths = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    robin = -1j * cfg.k0 * lengths[:, None] * np.array([2.0, 1.0, 1.0, 2.0]) / 6.0
+    rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(), edges[:, [0, 0, 1, 1]].ravel()])
+    cols = np.concatenate([np.tile(tri, 3).ravel(), edges[:, [0, 1, 0, 1]].ravel()])
+    shape = (mesh.n_nodes, mesh.n_nodes)
+
+    def eliminated(values):
+        matrix = sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
+        return apply_sound_soft(matrix, incident_rhs(mesh, cfg), mesh)
+
+    system, rhs = eliminated(np.concatenate([(stiffness - mass).ravel(), robin.ravel()]))
+    scale, _ = eliminated(
+        np.concatenate([(np.abs(stiffness) + np.abs(mass)).ravel(), np.abs(robin).ravel()])
+    )
+    return system, rhs, scale
+
+
+class TestAffineCombination:
+    """The affine family's precomputed d_0 + sum_j y_j d_j against the scatter."""
+
+    CFG = HelmholtzConfig(k0=4.0, mesh_size=0.2)
+    ETA = [0.6, 0.3, 0.8, 0.45]
+
+    @pytest.mark.parametrize("n_dims", [1, 2, 3, 4])
+    def test_matches_the_element_scatter(self, n_dims):
+        import itertools
+
+        mesh = build_annulus_mesh(self.CFG)
+        fam = affine_family(self.ETA[:n_dims], self.CFG)
+        rng = np.random.default_rng(n_dims)
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=n_dims)))
+        inner = mesh.inner_boundary
+        rhs = incident_rhs(mesh, self.CFG)
+        rhs[inner] = 0.0
+        for y in [np.zeros(n_dims), *corners, *rng.uniform(-1, 1, (3, n_dims))]:
+            a, b = assemble(y, fam, mesh, self.CFG)
+            ref, ref_rhs, scale = scattered_affine_system(y, fam, mesh, self.CFG)
+            assert np.array_equal(a.indptr, ref.indptr)
+            assert np.array_equal(a.indices, ref.indices)
+            assert np.all(np.abs(a.data - ref.data) <= 4 * np.finfo(float).eps * scale.data.real)
+            # the scatterer's rows are exact identity rows
+            assert np.array_equal(np.diff(a.indptr)[inner], np.ones(inner.size))
+            assert np.array_equal(a.indices[a.indptr[inner]], inner)
+            assert np.array_equal(a.data[a.indptr[inner]], np.ones(inner.size))
+            assert np.array_equal(b, rhs)
+            assert np.array_equal(ref_rhs, rhs)

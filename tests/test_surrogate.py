@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pcplace.helmholtz import HelmholtzConfig, affine_family, max_safe_amplitude, shape_family
 from pcplace.krylov import CostPolicy
 from pcplace.param_space import (
     ParamBox,
@@ -13,6 +15,8 @@ from pcplace.param_space import (
     batch_weighted_norm,
 )
 from pcplace.surrogate import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     FemSolveOracle,
     GpState,
     IterationMap,
@@ -292,6 +296,83 @@ class TestPosterior:
             gp.add_pair(rng.uniform(-1, 1, 3), rng.uniform(0.0, 0.5))
         _, var = gp.posterior(rng.uniform(-1, 1, size=(50, 3)))
         assert np.all(var >= 0)
+
+
+def public_mean(gp: GpState, d: np.ndarray) -> np.ndarray:
+    """The posterior mean through the public functions, factored afresh."""
+    prior, lengths = gp.prior, gp.prior.profile.corr_lengths
+    mu = prior_mean(d, gp.coeffs, prior.b_weight, prior.d_weight)
+    if gp.n_train == 0:
+        return mu
+    gram = kernel_matrix(gp.deltas, gp.deltas, lengths)
+    factor = scipy.linalg.cho_factor(gram + gp.jitter * np.eye(gp.n_train), lower=True)
+    resid = gp.alphas - prior_mean(gp.deltas, gp.coeffs, prior.b_weight, prior.d_weight)
+    return mu + kernel_matrix(d, gp.deltas, lengths) @ scipy.linalg.cho_solve(factor, resid)
+
+
+class TestMeanState:
+    """The mean state a GP builds once per fit, against a fresh build."""
+
+    CFG = HelmholtzConfig(k0=8.0)
+    PRIORS = {
+        "affine": affine_family([0.8, 0.5], CFG).prior,  # D = 0
+        "shape": shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, CFG).prior,  # D = B
+    }
+
+    @staticmethod
+    def surrogate(gp: GpState) -> TrainedSurrogate:
+        return TrainedSurrogate(
+            gp=gp, ybar=np.zeros(2), m_max=50.0, iter_map=IterationMap(1e-5),
+            evaluated=[], tau_pc=1.0,
+        )
+
+    @staticmethod
+    def assert_public(surr: TrainedSurrogate, d: np.ndarray):
+        """``mean``, ``posterior`` and ``expected_iterations`` equal the checked path."""
+        fast = surr.gp.mean(d)  # factors the Gram matrix, which sets the jitter
+        mean = public_mean(surr.gp, d)
+        assert np.array_equal(fast, mean)
+        assert np.array_equal(surr.gp.posterior(d)[0], mean)
+        alpha = np.clip(mean, ALPHA_MIN, ALPHA_MAX)
+        m = np.maximum(1.0, surr.iter_map.iters_from_alpha(alpha))
+        assert np.array_equal(surr.expected_iterations(d), m)
+
+    @staticmethod
+    def assert_same(a: TrainedSurrogate, b: TrainedSurrogate, d: np.ndarray):
+        assert np.array_equal(a.gp.mean(d), b.gp.mean(d))
+        for x, y in zip(a.gp.posterior(d), b.gp.posterior(d)):
+            assert np.array_equal(x, y)
+        assert np.array_equal(a.expected_iterations(d), b.expected_iterations(d))
+
+    @pytest.mark.parametrize("kind", ["affine", "shape"])
+    @pytest.mark.parametrize("rows", [1, 500])
+    def test_state_follows_every_pair_and_refit(self, kind, rows):
+        prior = self.PRIORS[kind]
+        rng = np.random.default_rng(rows)
+        probe = rng.uniform(-1, 1, (rows, 2))
+        deltas = np.vstack([np.zeros(2), rng.uniform(-1, 1, (8, 2))])
+        alphas = 0.4 * np.tanh(np.linalg.norm(deltas, axis=1) ** 3) + 2.5e-11
+
+        # in training order, evaluated after every step: a state that
+        # add_pair or refit_coeffs leaves stale shows in the next check
+        incremental = self.surrogate(GpState(prior))
+        self.assert_public(incremental, probe)  # no pair: the D term is live for shape
+        for delta, alpha in zip(deltas, alphas):
+            incremental.gp.add_pair(delta, alpha)
+            self.assert_public(incremental, probe)
+            coeffs = incremental.gp.coeffs
+            degenerate = incremental.gp.refit_coeffs()
+            assert degenerate or incremental.gp.coeffs != coeffs
+            self.assert_public(incremental, probe)
+        assert not degenerate
+
+        fresh = self.surrogate(GpState(prior, incremental.gp.coeffs))
+        for delta, alpha in zip(deltas, alphas):
+            fresh.gp.add_pair(delta, alpha)
+        self.assert_same(incremental, fresh, probe)
+
+        doc = json.loads(json.dumps(incremental.to_json_dict()))
+        self.assert_same(incremental, TrainedSurrogate.from_json_dict(doc), probe)
 
 
 def synthetic_oracle(points, prior, coeffs, ratio=100.0, noise=None):
