@@ -424,8 +424,10 @@ def _report(
 
     The first ``n_train`` log records are surrogate training, the rest are
     execution.  Every build in the log costs ``n_ratio`` iterations and
-    every solve the iterations it took.  A failed solve's record carries
-    its error, the report is then degraded, and ``it_av`` leaves it out.
+    every solve the iterations it took; a failed build costs nothing.  The
+    record of a failed solve, or of a solve standing in for a failed
+    build, carries the error, the report is then degraded, and ``it_av``
+    leaves that record out.
     """
     targets, log = oracle.points, oracle.log
     solves = [(k, r) for k, r in enumerate(log) if r.position is not None]
@@ -442,7 +444,7 @@ def _report(
         for k, r in solves
     ]
     exec_iters = [r.iterations for k, r in solves if k >= n_train and r.error is None]
-    n_pc = len(log) - len(solves)
+    n_pc = sum(r.position is None and r.error is None for r in log)
     return RunReport(
         label=label,
         n_dims=exp.n_dims,
@@ -454,7 +456,7 @@ def _report(
         n_pc=n_pc,
         it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
         cost_total=n_ratio * n_pc + float(sum(r.iterations for _, r in solves)),
-        degraded=not all(r.converged for _, r in solves),
+        degraded=not all(r.converged and r.error is None for r in log),
         per_point=sorted(per_point, key=lambda rec: rec["index"]),
         **values,
     )
@@ -484,15 +486,17 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     t_l_al = policy.stage_cost(0.0, time.perf_counter() - la_start)
 
     # execution: build the planned preconditioners, solve every remaining
-    # target with its assigned one
+    # target with its assigned one; a cell whose build failed is solved
+    # with the reference preconditioner
     index_to_position = {int(idx): pos for pos, idx in enumerate(targets.indices)}
     for k in range(plan.n_pc):
-        if plan.fixed_mask[k]:
-            pc = oracle.reference_pc
-        else:
+        pc, error = oracle.reference_pc, None
+        if not plan.fixed_mask[k]:
             pc = oracle.build(plan.pc_locations[k])
+            if pc is None:
+                pc, error = oracle.reference_pc, oracle.log[-1].error
         for pos in np.flatnonzero(plan.assignment == k):
-            oracle.run(index_to_position[int(plan.point_indices[pos])], pc, int(k))
+            oracle.run(index_to_position[int(plan.point_indices[pos])], pc, int(k), error)
 
     # baseline estimates: the per-point cost assumes one iteration per
     # target (exact LU); the mean-based cost uses measured counts where
@@ -527,9 +531,9 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     wall_start = time.perf_counter()
     oracle = _oracle(exp)
     targets = oracle.points
-    pc = oracle.build(targets.box.center)
+    oracle.build_reference()
     for pos in range(len(targets)):
-        oracle.run(pos, pc, "mean")
+        oracle.run(pos, oracle.reference_pc, "mean")
 
     n_ratio = oracle.n_ratio()
     build, *solves = oracle.log
@@ -552,9 +556,14 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
     wall_start = time.perf_counter()
     oracle = _oracle(exp)
     targets = oracle.points
-    # one target at a time, build then solve: the order fixes t_exec's sum
+    # one target at a time, build then solve: the order fixes t_exec's sum;
+    # a target whose build failed is logged as a failed solve
     for pos, y in enumerate(targets.points):
-        oracle.run(pos, oracle.build(y), pos)
+        pc = oracle.build(y)
+        if pc is None:
+            oracle.fail(pos, pos, oracle.log[-1].error)
+        else:
+            oracle.run(pos, pc, pos)
 
     report = _report(
         exp, "per_point", oracle, 0, oracle.n_ratio(),

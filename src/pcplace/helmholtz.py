@@ -149,7 +149,15 @@ _QUAD_PHI = np.array(
 
 
 def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
-    """Triangulate the annulus with max edge length <= 1.5 h."""
+    """Triangulate the annulus with max edge length <= 1.5 h.
+
+    Nodes lie on ``n_r`` rings of ``n_theta`` angles, ring-major, and each
+    quad between two rings splits into two counterclockwise triangles. The
+    element geometry is computed from contiguous per-vertex columns
+    (``x[t0]``, ``y[t0]``, ... for the corner columns ``t0``, ``t1``,
+    ``t2``), each formula with the operands and order it has on
+    ``nodes[triangles]``, so the arrays are that gather's bit for bit.
+    """
     h = cfg.h
     span = cfg.r_out - cfg.r_in
     n_r = int(np.ceil(span / h)) + 1
@@ -157,52 +165,44 @@ def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
 
     radii = np.linspace(cfg.r_in, cfg.r_out, n_r)
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    nodes = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    x = np.outer(radii, np.cos(thetas)).ravel()
+    y = np.outer(radii, np.sin(thetas)).ravel()
+    nodes = np.column_stack([x, y])
+    # quad (ir, it) has corners a = (ir, it), b = (ir, it + 1),
+    # c = (ir + 1, it + 1) and d = (ir + 1, it), angles taken mod n_theta
+    ring = np.arange(n_theta)
+    base = n_theta * np.arange(n_r - 1)[:, None]
+    a = (base + ring).ravel()
+    b = (base + np.roll(ring, -1)).ravel()
+    c = b + n_theta
+    d = a + n_theta
+    # split each quad along the a-c diagonal: triangles (a, d, c), then (a, c, b)
+    t0, t1, t2 = np.concatenate([a, a]), np.concatenate([d, c]), np.concatenate([c, b])
+    triangles = np.column_stack([t0, t1, t2])
 
-    def nid(ir, it):
-        return ir * n_theta + np.mod(it, n_theta)
-
-    ir = np.repeat(np.arange(n_r - 1), n_theta)
-    it = np.tile(np.arange(n_theta), n_r - 1)
-    a = nid(ir, it)
-    b = nid(ir, it + 1)
-    c = nid(ir + 1, it + 1)
-    d = nid(ir + 1, it)
-    # split each quad along the a-c diagonal, counterclockwise corners
-    triangles = np.vstack([np.column_stack([a, d, c]), np.column_stack([a, c, b])])
-
-    p = nodes[triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    xs, ys = (x[t0], x[t1], x[t2]), (y[t0], y[t1], y[t2])
+    det2 = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
     if np.any(det2 <= 0):
         raise RuntimeError("negatively oriented element in structured mesh")
     areas = 0.5 * det2
 
-    # P1 gradients: rotate opposite edges by 90 degrees over twice the area.
     grads = np.empty((triangles.shape[0], 3, 2))
+    quad_points = np.empty_like(grads)
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        edge = p[:, k] - p[:, j]
-        grads[:, i, 0] = -edge[:, 1] / det2
-        grads[:, i, 1] = edge[:, 0] / det2
+        # P1 gradients: rotate opposite edges by 90 degrees over twice the area
+        np.divide(-(ys[k] - ys[j]), det2, out=grads[:, i, 0])
+        np.divide(xs[k] - xs[j], det2, out=grads[:, i, 1])
+        # quadrature node i is the midpoint of edge (i, j)
+        np.multiply(0.5, xs[i] + xs[j], out=quad_points[:, i, 0])
+        np.multiply(0.5, ys[i] + ys[j], out=quad_points[:, i, 1])
 
-    quad_points = np.stack(
-        [
-            0.5 * (p[:, 0] + p[:, 1]),
-            0.5 * (p[:, 1] + p[:, 2]),
-            0.5 * (p[:, 2] + p[:, 0]),
-        ],
-        axis=1,
-    )
-
-    outer_ring = (n_r - 1) * n_theta + np.arange(n_theta)
+    outer_ring = (n_r - 1) * n_theta + ring
     outer_edges = np.column_stack([outer_ring, np.roll(outer_ring, -1)])
 
     return AnnulusMesh(
         nodes=nodes,
         triangles=triangles,
-        inner_boundary=np.arange(n_theta),
+        inner_boundary=ring,
         outer_boundary=outer_ring,
         areas=areas,
         grads=grads,

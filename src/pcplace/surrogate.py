@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import helmholtz
-from .krylov import BreakdownError, gmres_left, lu_factor
+from .krylov import BreakdownError, SingularMatrixError, gmres_left, lu_factor
 from .param_space import (
     AnisotropyProfile,
     ParamSet,
@@ -625,7 +625,7 @@ class LogRecord(NamedTuple):
     iterations: int
     converged: bool
     cost: float  # priced by the oracle's cost policy
-    error: Exception | None = None  # what stopped a failed solve
+    error: Exception | None = None  # what stopped a failed build or solve
 
 
 class FemSolveOracle:
@@ -635,10 +635,11 @@ class FemSolveOracle:
     mesh and solver config, and the cost policy that prices each build and
     solve.  ``build`` factors the operator at a parameter point and ``run``
     solves one target with a given preconditioner; each call appends one
-    ``LogRecord`` to ``log``, in call order.  A solve whose assembly or
-    GMRES raises is logged as unconverged, with its error, at no cost, and
-    the run goes on.  ``build_reference`` and ``solve`` are the training
-    oracle on top of them; a failed training solve raises its error.
+    ``LogRecord`` to ``log``, in call order.  A build whose assembly or
+    factorization raises, or a solve whose assembly or GMRES raises, is
+    logged as unconverged, with its error, at no cost, and the run goes on.
+    ``build_reference`` and ``solve`` are the training oracle on top of
+    them; a failed training build or solve raises its error.
     """
 
     def __init__(self, points: ParamSet, family, mesh, cfg, cost_policy):
@@ -651,31 +652,48 @@ class FemSolveOracle:
         self.log: list[LogRecord] = []
 
     def build(self, y):
-        """Factor the operator at ``y`` into a preconditioner."""
-        matrix, _ = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
-        pc = lu_factor(matrix)
+        """Factor the operator at ``y`` into a preconditioner.
+
+        Returns ``None`` when the build failed.
+        """
+        try:
+            matrix, _ = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
+            pc = lu_factor(matrix)
+        except (helmholtz.DegenerateMapError, SingularMatrixError) as exc:
+            self.log.append(LogRecord(None, None, 0, False, 0.0, exc))
+            return None
         self.log.append(LogRecord(None, None, 0, True, self.policy.build_cost(pc)))
         return pc
 
-    def run(self, position: int, pc, label):
+    def run(self, position: int, pc, label, error=None):
         """Solve the target at ``position`` with ``pc``, logged under ``label``.
 
-        Returns the solve's report, or ``None`` when it failed.
+        ``error`` is that of a failed build this solve stands in for: the
+        solve's record carries it.  Returns the solve's report, or ``None``
+        when the solve failed.
         """
         y = self.points.points[position]
         try:
             matrix, rhs = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
             report = gmres_left(pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter)
         except (helmholtz.DegenerateMapError, BreakdownError) as exc:
-            self.log.append(LogRecord(position, label, 0, False, 0.0, exc))
+            self.fail(position, label, exc)
             return None
         cost = self.policy.solve_cost(pc, report)
-        self.log.append(LogRecord(position, label, report.iterations, report.converged, cost))
+        self.log.append(
+            LogRecord(position, label, report.iterations, report.converged, cost, error)
+        )
         return report
+
+    def fail(self, position: int, label, error):
+        """Log the target at ``position`` as unsolved, with ``error``, at no cost."""
+        self.log.append(LogRecord(position, label, 0, False, 0.0, error))
 
     def build_reference(self) -> float:
         """Build the training preconditioner at the box center; return its cost."""
         self.reference_pc = self.build(self.points.box.center)
+        if self.reference_pc is None:
+            raise self.log[-1].error
         return self.log[-1].cost
 
     def solve(self, position: int):
@@ -687,7 +705,7 @@ class FemSolveOracle:
 
     def n_ratio(self) -> float:
         """Break-even iteration count realized over every build and solve logged."""
-        builds = [r.cost for r in self.log if r.position is None]
+        builds = [r.cost for r in self.log if r.position is None and r.error is None]
         solves = [r for r in self.log if r.position is not None]
         return self.policy.n_ratio(
             _running_total(builds),

@@ -22,6 +22,7 @@ from pcplace.harness import (
     sample_parameter_set,
 )
 from pcplace.helmholtz import max_safe_amplitude
+from test_golden_reports import GOLDEN_CONFIGS
 
 
 def small_affine_config(**overrides):
@@ -555,6 +556,79 @@ class TestLedger:
         assert len(oracle.log) - len(solves) == report.n_pc
         assert sorted(r.position for r in solves) == list(range(16))
         assert sum(r.iterations for r in solves) == sum(iterations)
+
+
+def _lu_failing_on(call):
+    """An ``lu_factor`` whose ``call``-th call (1-based) raises."""
+    calls = []
+
+    def lu(matrix):
+        calls.append(None)
+        if len(calls) == call:
+            raise krylov.SingularMatrixError("zero pivot")
+        return krylov.lu_factor(matrix)
+
+    return lu
+
+
+class TestBuildFailures:
+    """A failed placed build degrades its cell; the rest of the run goes on."""
+
+    EXP = ExperimentConfig.from_dict(GOLDEN_CONFIGS["golden_affine"])
+
+    def test_a_failed_placed_build_falls_back_to_the_reference_pc(self, monkeypatch):
+        clean, _, clean_plan = run_pipeline(self.EXP)
+        # call 1 builds the reference preconditioner, call 2 the first placed one
+        monkeypatch.setattr(surrogate, "lu_factor", _lu_failing_on(2))
+        report, _, plan = run_pipeline(self.EXP)
+        assert plan.pc_locations.tobytes() == clean_plan.pc_locations.tobytes()
+        cell = plan.fixed_mask.tolist().index(False)
+        assert not clean.degraded and report.degraded
+        assert report.n_pc == clean.n_pc - 1
+
+        failed = [rec for rec in report.per_point if "error" in rec]
+        assert [rec["index"] for rec in failed] == [
+            rec["index"] for rec in clean.per_point if rec["pc"] == cell
+        ]
+        assert {rec["error"] for rec in failed} == {"SingularMatrixError: zero pivot"}
+        assert {rec["pc"] for rec in failed} == {cell}
+        # solved with the reference preconditioner, as mean-based solves them
+        mean_based = {rec["index"]: rec for rec in baseline_mean_based(self.EXP).per_point}
+        for rec in failed:
+            assert rec["converged"]
+            assert rec["iterations"] == mean_based[rec["index"]]["iterations"]
+        others = [rec for rec in clean.per_point if rec["pc"] != cell]
+        assert [rec for rec in report.per_point if "error" not in rec] == others
+
+        assert report.cost_total == report.n_ratio * report.n_pc + sum(
+            rec["iterations"] for rec in report.per_point
+        )
+        assert report.it_av == np.mean(
+            [rec["iterations"] for rec in others if rec["phase"] == "exec"]
+        )
+
+    def test_a_failed_per_point_build_fails_its_target(self, monkeypatch):
+        clean = baseline_per_point(self.EXP)
+        monkeypatch.setattr(surrogate, "lu_factor", _lu_failing_on(3))
+        report = baseline_per_point(self.EXP)
+        assert not clean.degraded and report.degraded
+        assert report.n_pc == clean.n_pc - 1
+        failed = [rec for rec in report.per_point if "error" in rec]
+        assert len(failed) == 1
+        assert failed[0]["index"] == sample_parameter_set(self.EXP).indices[2]
+        assert failed[0]["error"] == "SingularMatrixError: zero pivot"
+        assert not failed[0]["converged"] and failed[0]["iterations"] == 0
+        others = [rec for rec in clean.per_point if rec["index"] != failed[0]["index"]]
+        assert [rec for rec in report.per_point if "error" not in rec] == others
+        assert report.cost_total == report.n_ratio * report.n_pc + sum(
+            rec["iterations"] for rec in report.per_point
+        )
+
+    @pytest.mark.parametrize("strategy", [run_pipeline, baseline_mean_based])
+    def test_a_failed_reference_build_raises(self, strategy, monkeypatch):
+        monkeypatch.setattr(surrogate, "lu_factor", _lu_failing_on(1))
+        with pytest.raises(krylov.SingularMatrixError):
+            strategy(small_affine_config(n_points=6))
 
 
 class TestReports:

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pcplace.helmholtz import (
     _QUAD_PHI,
     DegenerateMapError,
     INCIDENT_DIRECTION,
+    AnnulusMesh,
     HelmholtzConfig,
     _mode_norms,
     _mode_tables,
@@ -40,6 +43,56 @@ def mass_matrix(mesh):
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = mesh.n_nodes
     return sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def reference_mesh(cfg):
+    """The structured mesh built by slicing ``nodes[triangles]``, quad by quad."""
+    h = cfg.h
+    n_r = int(np.ceil((cfg.r_out - cfg.r_in) / h)) + 1
+    n_theta = max(int(np.ceil(2 * np.pi * cfg.r_out / h)), 8)
+    radii = np.linspace(cfg.r_in, cfg.r_out, n_r)
+    thetas = 2 * np.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
+    nodes = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+
+    def nid(ir, it):
+        return ir * n_theta + np.mod(it, n_theta)
+
+    ir = np.repeat(np.arange(n_r - 1), n_theta)
+    it = np.tile(np.arange(n_theta), n_r - 1)
+    a, b, c, d = nid(ir, it), nid(ir, it + 1), nid(ir + 1, it + 1), nid(ir + 1, it)
+    triangles = np.vstack([np.column_stack([a, d, c]), np.column_stack([a, c, b])])
+
+    p = nodes[triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads = np.empty((triangles.shape[0], 3, 2))
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        edge = p[:, k] - p[:, j]
+        grads[:, i, 0] = -edge[:, 1] / det2
+        grads[:, i, 1] = edge[:, 0] / det2
+    quad_points = np.stack(
+        [0.5 * (p[:, 0] + p[:, 1]), 0.5 * (p[:, 1] + p[:, 2]), 0.5 * (p[:, 2] + p[:, 0])],
+        axis=1,
+    )
+    outer_ring = (n_r - 1) * n_theta + np.arange(n_theta)
+    return AnnulusMesh(
+        nodes=nodes,
+        triangles=triangles,
+        inner_boundary=np.arange(n_theta),
+        outer_boundary=outer_ring,
+        areas=0.5 * det2,
+        grads=grads,
+        quad_points=quad_points,
+        outer_edges=np.column_stack([outer_ring, np.roll(outer_ring, -1)]),
+    )
+
+
+MESH_ARRAYS = (
+    "nodes", "triangles", "inner_boundary", "outer_boundary",
+    "areas", "grads", "quad_points", "outer_edges",
+)
 
 
 class TestMesh:
@@ -84,6 +137,47 @@ class TestMesh:
     def test_too_coarse_raises(self):
         with pytest.raises(ValueError):
             build_annulus_mesh(HelmholtzConfig(k0=5.0, mesh_size=2.0))
+
+    @pytest.mark.parametrize(
+        "k0, mesh_size",
+        # the three benchmark workloads' meshes, a large one and explicit sizes
+        [(20.0, None), (12.0, None), (8.0, None), (40.0, None),
+         (5.0, 0.1), (5.0, 0.05), (5.0, 0.74)],
+    )
+    def test_matches_the_reference_builder_bitwise(self, k0, mesh_size):
+        cfg = HelmholtzConfig(k0=k0, mesh_size=mesh_size)
+        mesh, ref = build_annulus_mesh(cfg), reference_mesh(cfg)
+        for name in MESH_ARRAYS:
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+            assert got.tobytes() == want.tobytes(), name  # signed zeros too
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(0.02, 0.749))
+    def test_is_a_conforming_triangulation_of_the_annulus(self, mesh_size):
+        cfg = HelmholtzConfig(k0=5.0, mesh_size=mesh_size)
+        mesh = build_annulus_mesh(cfg)
+        n = mesh.n_nodes
+        heads = mesh.triangles.ravel()
+        tails = np.roll(mesh.triangles, -1, axis=1).ravel()
+        edges, reversed_edges = heads * n + tails, tails * n + heads
+        # no edge twice in one orientation: an edge whose reverse is also
+        # there lies in exactly two triangles, oppositely oriented
+        assert np.unique(edges).size == edges.size
+        boundary = np.sort(edges[~np.isin(reversed_edges, edges)])
+        inner, outer = mesh.inner_boundary, mesh.outer_boundary
+        rings = np.concatenate([outer * n + np.roll(outer, -1), np.roll(inner, -1) * n + inner])
+        assert np.array_equal(boundary, np.sort(rings))
+        assert np.array_equal(mesh.outer_edges[:, 0] * n + mesh.outer_edges[:, 1],
+                              outer * n + np.roll(outer, -1))
+
+        lengths = np.linalg.norm(mesh.nodes[tails] - mesh.nodes[heads], axis=1)
+        assert lengths.max() <= 1.5 * cfg.h
+        # every quad between rings r and r' has area sin(2 pi / n_theta)(r'^2 - r^2) / 2
+        n_theta = inner.size
+        area = n_theta / 2 * np.sin(2 * np.pi / n_theta) * (cfg.r_out**2 - cfg.r_in**2)
+        assert abs(mesh.areas.sum() - area) <= 1e-12 * area
 
     def test_export(self, tmp_path):
         mesh = build_annulus_mesh(HelmholtzConfig(k0=5.0))

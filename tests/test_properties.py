@@ -1,5 +1,6 @@
 """Hypothesis property tests of invariants the planner relies on."""
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -9,6 +10,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from scipy.optimize import minimize  # noqa: E402
 
+from pcplace.harness import (  # noqa: E402
+    CONFIG_SCHEMA,
+    ExperimentConfig,
+    baseline_mean_based,
+    baseline_per_point,
+    run_pipeline,
+    sample_parameter_set,
+)
+from pcplace.helmholtz import max_safe_amplitude  # noqa: E402
 from pcplace.param_space import ParamBox  # noqa: E402
 from pcplace.placement import (  # noqa: E402
     _cell_totals,
@@ -195,3 +205,48 @@ def test_descent_leaves_a_lone_member_for_a_heavier_cluster():
     cell = np.array([[0.01171875], [0.0], [0.0], [0.0], [0.0]])
     member = cell[0]
     assert np.array_equal(_descent_end(cell, np.array([[1.0]]), 36.0, member), member)
+
+
+@st.composite
+def tiny_documents(draw):
+    """Schema-valid experiment documents on coarse meshes with a few targets."""
+    dims = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        eta = st.floats(0.01, 0.99)
+        family = {"kind": "affine", "eta": draw(st.lists(eta, min_size=dims, max_size=dims))}
+    else:
+        decay = draw(st.floats(1.1, 4.0))
+        # a share above 1 is unsafe, which ``from_dict`` rejects
+        share = draw(st.floats(0.01, 1.2))
+        family = {
+            "kind": "shape", "n_dims": dims, "amplitude": share * max_safe_amplitude(decay),
+            "decay": decay,
+        }
+    return {
+        "family": family,
+        "k0": draw(st.floats(0.5, 6.0)),
+        "n_points": draw(st.integers(1, 6)),
+        "sampling": draw(st.sampled_from(["uniform", "halton", "grid"])),
+        "seed": draw(st.integers(0, 3)),
+        "tol": draw(st.floats(1e-6, 0.9)),
+        "mesh_constant": draw(st.floats(0.5, 6.0)),
+        "max_iter": draw(st.sampled_from([None, None, None, 1, 2, 5])),
+        "cost": {"c_build": draw(st.sampled_from([1e-6, 1e-5, 1e-4])), "c_iter": 1e-6},
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tiny_documents())
+def test_a_schema_valid_document_is_rejected_or_runs(doc):
+    jsonschema.validate(doc, CONFIG_SCHEMA)
+    try:
+        exp = ExperimentConfig.from_dict(doc)
+    except ValueError:
+        return
+    n_targets = len(sample_parameter_set(exp))
+    reports = [run_pipeline(exp)[0], baseline_mean_based(exp), baseline_per_point(exp)]
+    for report in reports:
+        assert len(report.per_point) == n_targets
+        iterations = sum(rec["iterations"] for rec in report.per_point)
+        assert np.isfinite(report.cost_total)
+        assert report.cost_total == report.n_ratio * report.n_pc + iterations
