@@ -136,6 +136,11 @@ class AnnulusMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @property
+    def n_theta(self) -> int:
+        """Nodes per ring: nodes are ring-major, the inner ring first."""
+        return self.inner_boundary.shape[0]
+
 
 # P1 basis values at the three edge-midpoint quadrature nodes (rows:
 # midpoints of edges 01, 12, 20; columns: vertices), weights 1/3 each.

@@ -1,12 +1,16 @@
 """Complex sparse linear algebra: LU preconditioners and counted GMRES.
 
-The solver stack is deliberately small: sparse LU factorizations (SuperLU
-in symmetric mode: minimum degree on A + A^T, diagonal pivots preferred)
-wrapped as preconditioners, and a full, non-restarted left-preconditioned
-GMRES whose iteration count and preconditioned residual history are the
-quantities the rest of the package reasons about; its storage grows with
-the steps it takes.  Iteration counts feed the surrogate; ``CostPolicy``
-prices builds and solves from their nnz or their timings.
+The solver stack is deliberately small: direct factorizations wrapped as
+preconditioners, and a full, non-restarted left-preconditioned GMRES whose
+iteration count and preconditioned residual history are the quantities the
+rest of the package reasons about; its storage grows with the steps it
+takes.  A matrix that commutes with a cyclic shift inside blocks of a given
+period and couples neighbouring blocks only (an operator on a rotation-
+invariant polar mesh) is factored in the angular Fourier basis: one
+tridiagonal band per mode, LAPACK ``zgttrf``.  Every other matrix goes to
+SuperLU in symmetric mode (minimum degree on A + A^T, diagonal pivots
+preferred).  Iteration counts feed the surrogate; ``CostPolicy`` prices
+builds and solves from their nnz or their timings.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 __all__ = [
     "SingularMatrixError",
@@ -36,6 +41,16 @@ _DENSE_GUARD = 2000
 # largest entry in its column; 0.1 gave 5 % more fill on the k0 = 12 affine
 # mesh and the same on the desk mesh.
 _DIAG_PIVOT_THRESH = 0.01
+# SuperLU relaxed supernodes of at most this many columns: 1 keeps the fill
+# and solves the small meshes' factors faster than the default of 20.
+_RELAX = 1
+
+# A matrix is rotation invariant when every entry, stored or not, lies
+# within this fraction of max|a| of its mean over the cyclic shift; its
+# Fourier factors are kept only if they solve a probe vector to
+# ``_PROBE_TOL`` relative residual.
+_INVARIANCE_TOL = 1e-12
+_PROBE_TOL = 1e-10
 
 
 class SingularMatrixError(ValueError):
@@ -57,11 +72,59 @@ def as_complex_csr(matrix) -> sp.csr_matrix:
     return matrix
 
 
+class FourierFactors:
+    """Band LU of a rotation-invariant block matrix in the angular Fourier basis.
+
+    The matrix has ``n_r`` blocks of ``period`` unknowns (rings of angles,
+    ring-major).  A DFT along the angle splits it into ``period``
+    independent tridiagonal systems in the ring index, one per mode; they
+    are stored mode-major as one tridiagonal matrix and factored by
+    ``zgttrf``.  ``solve`` is an FFT along the angle, one ``zgttrs`` over
+    every mode and column, and an inverse FFT.  ``L`` (unit diagonal and
+    multipliers) and ``U`` (three bands) hold the stored factors, so
+    ``L.nnz + U.nnz`` is the fill the solve reads; with row interchanges
+    their product is not the banded matrix itself.
+    """
+
+    def __init__(self, n_r: int, period: int, bands):
+        self.n_r, self.period = n_r, period
+        *self._bands, info = lapack.zgttrf(*bands)
+        if info > 0:
+            raise SingularMatrixError(f"singular Fourier mode (zero pivot {info})")
+        if not np.all(np.isfinite(self._bands[1])):
+            raise SingularMatrixError("non-finite pivot in U factor")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A⁻¹ rhs for an (n,) or (n, k) right-hand side."""
+        b = np.asarray(rhs, dtype=np.complex128)
+        n_r, period = self.n_r, self.period
+        rings = b.reshape(n_r, period, -1)
+        # column-major (n, k), mode-major rows: what zgttrs solves in place
+        modes = np.empty(rings.shape[::-1], dtype=np.complex128)
+        np.fft.fft(rings, axis=1, out=modes.transpose(2, 1, 0))
+        lapack.zgttrs(*self._bands, modes.reshape(len(modes), -1).T, overwrite_b=1)
+        return np.fft.ifft(modes.transpose(2, 1, 0), axis=1).reshape(b.shape)
+
+    @property
+    def L(self) -> sp.dia_matrix:
+        multipliers = self._bands[0]
+        return sp.diags([np.ones(len(multipliers) + 1), multipliers], [0, -1])
+
+    @property
+    def U(self) -> sp.dia_matrix:
+        _, d, du, du2, _ = self._bands
+        return sp.diags([d, du, du2], [0, 1, 2])
+
+
 @dataclass
 class LuPreconditioner:
-    """Sparse LU factors of a reference matrix, applied as its inverse."""
+    """Direct factors of a reference matrix, applied as its inverse.
 
-    factors: spla.SuperLU
+    ``factors`` is a SuperLU object or, for a rotation-invariant matrix,
+    its :class:`FourierFactors`; both provide ``solve``, ``L`` and ``U``.
+    """
+
+    factors: spla.SuperLU | FourierFactors
     build_time: float
     nnz: int
     _rhs: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -81,10 +144,69 @@ class LuPreconditioner:
         return self._image
 
 
-def lu_factor(matrix) -> LuPreconditioner:
-    """Factor a square complex sparse matrix for use as a preconditioner."""
+def _fourier_factors(a: sp.csr_matrix, period) -> FourierFactors | None:
+    """Fourier factors of ``a`` with blocks of ``period``, or ``None``.
+
+    ``None`` unless ``period`` divides n (n >= 2, which scipy's ``zgttrf``
+    wrapper needs), every entry couples
+    blocks at most one apart, every entry equals its mean over the cyclic
+    shift inside its block to ``_INVARIANCE_TOL`` · max|a|, and the
+    factors solve a probe vector to ``_PROBE_TOL``.
+    """
+    n = a.shape[0]
+    if period is None or n < 2 or n % period or not np.all(np.isfinite(a.data)):
+        return None
+    n_r = n // period
+    coo = a.tocoo()
+    ring, angle = np.divmod(coo.row, period)
+    ring_to, angle_to = np.divmod(coo.col, period)
+    step = ring_to - ring
+    if np.any(np.abs(step) > 1):
+        return None
+    # class (ring, ring step, angle offset); its mean over the cyclic shift
+    key = (3 * ring + step + 1) * period + (angle_to - angle) % period
+    size = 3 * n
+    mean = (
+        np.bincount(key, coo.data.real, size) + 1j * np.bincount(key, coo.data.imag, size)
+    ) / period
+    tol = _INVARIANCE_TOL * np.max(np.abs(coo.data), initial=0.0)
+    partial = np.bincount(key, minlength=size) < period  # its other entries are 0
+    if not (
+        np.max(np.abs(coo.data - mean[key]), initial=0.0) <= tol
+        and np.max(np.abs(mean[partial]), initial=0.0) <= tol
+    ):
+        return None
+    # mode k's band, Σ over offsets of mean · e^{2πik·offset/period}, laid out
+    # (mode, ring step, ring); the slots of rings -1 and n_r hold exact zeros,
+    # which decouple the modes once the rows are taken mode-major
+    band = period * np.fft.ifft(mean.reshape(n_r, 3, period), axis=-1).transpose(2, 1, 0)
+    sub, diag, sup = (band[:, j].ravel() for j in range(3))
+    factors = FourierFactors(n_r, period, (sub[1:], diag, sup[:-1]))
+    probe = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, n))
+    residual = a @ factors.solve(probe) - probe
+    if np.linalg.norm(residual) > _PROBE_TOL * np.linalg.norm(probe):
+        return None
+    return factors
+
+
+def lu_factor(matrix, period: int | None = None) -> LuPreconditioner:
+    """Factor a square complex sparse matrix for use as a preconditioner.
+
+    With ``period``, a matrix of blocks of ``period`` unknowns that is
+    invariant under the cyclic shift inside every block and couples
+    neighbouring blocks only is factored in the angular Fourier basis
+    (:class:`FourierFactors`).  Every other matrix, and one whose Fourier
+    factors miss the probe, is factored by SuperLU.  A singular matrix or
+    a non-finite pivot raises :class:`SingularMatrixError` on either path.
+    """
     a = as_complex_csr(matrix)
     start = time.perf_counter()
+    factors = _fourier_factors(a, period) or _superlu(a)
+    elapsed = time.perf_counter() - start
+    return LuPreconditioner(factors=factors, build_time=elapsed, nnz=a.nnz)
+
+
+def _superlu(a: sp.csr_matrix) -> spla.SuperLU:
     try:
         # symmetric mode: the Helmholtz matrices are structurally symmetric
         # with a nonzero diagonal, so ordering A + A^T and keeping diagonal
@@ -93,14 +215,14 @@ def lu_factor(matrix) -> LuPreconditioner:
             a.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+            relax=_RELAX,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(exc)) from exc
-    elapsed = time.perf_counter() - start
     if not np.all(np.isfinite(factors.U.diagonal())):
         raise SingularMatrixError("non-finite pivot in U factor")
-    return LuPreconditioner(factors=factors, build_time=elapsed, nnz=a.nnz)
+    return factors
 
 
 @dataclass

@@ -654,11 +654,13 @@ class FemSolveOracle:
     def build(self, y):
         """Factor the operator at ``y`` into a preconditioner.
 
-        Returns ``None`` when the build failed.
+        The period is the mesh's ring length, so an operator that is
+        invariant under the mesh's rotation by one angular step is factored
+        in the angular Fourier basis.  Returns ``None`` when the build failed.
         """
         try:
             matrix, _ = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
-            pc = lu_factor(matrix)
+            pc = lu_factor(matrix, period=self.mesh.n_theta)
         except (helmholtz.DegenerateMapError, SingularMatrixError) as exc:
             self.log.append(LogRecord(None, None, 0, False, 0.0, exc))
             return None

@@ -37,11 +37,11 @@ def small_affine_config(**overrides):
     return ExperimentConfig.from_dict(doc)
 
 
-def _lu_shifted(matrix):
+def _lu_shifted(matrix, **kwargs):
     """Factor A + 0.05 mean|diag A| I: an inexact preconditioner for A."""
     shift = 0.05 * np.mean(np.abs(matrix.diagonal()))
     eye = sp.identity(matrix.shape[0], format="csr")
-    return krylov.lu_factor(matrix + shift * eye)
+    return krylov.lu_factor(matrix + shift * eye, **kwargs)
 
 
 @pytest.fixture
@@ -562,11 +562,11 @@ def _lu_failing_on(call):
     """An ``lu_factor`` whose ``call``-th call (1-based) raises."""
     calls = []
 
-    def lu(matrix):
+    def lu(matrix, **kwargs):
         calls.append(None)
         if len(calls) == call:
             raise krylov.SingularMatrixError("zero pivot")
-        return krylov.lu_factor(matrix)
+        return krylov.lu_factor(matrix, **kwargs)
 
     return lu
 

@@ -26,6 +26,27 @@ def random_sparse_complex(rng, n, density=0.4):
     return sp.csr_matrix(a)
 
 
+def _operator(kind, k0, y=None):
+    """The family's operator at ``y`` (its box centre by default) and its mesh."""
+    from pcplace.helmholtz import (
+        HelmholtzConfig,
+        affine_family,
+        assemble,
+        build_annulus_mesh,
+        max_safe_amplitude,
+        shape_family,
+    )
+
+    cfg = HelmholtzConfig(k0=k0)
+    mesh = build_annulus_mesh(cfg)
+    if kind == "shape":
+        family = shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg)
+    else:
+        family = affine_family({"equal-eta": [0.5, 0.5, 0.5], "unequal-eta": [0.8, 0.5]}[kind], cfg)
+    y = np.zeros(family.n_dims) if y is None else y
+    return assemble(y, family, mesh, cfg)[0], mesh
+
+
 class TestLuFactor:
     def test_identity(self):
         pc = lu_factor(sp.eye(5, format="csr"))
@@ -79,22 +100,112 @@ class TestLuFactor:
         assert np.linalg.norm(a @ pc.apply(b) - b) / np.linalg.norm(b) <= 1e-12
 
     def test_fill_below_colamd_on_desk_mesh(self):
-        from pcplace.helmholtz import (
-            HelmholtzConfig,
-            assemble,
-            build_annulus_mesh,
-            max_safe_amplitude,
-            shape_family,
-        )
-
-        cfg = HelmholtzConfig(k0=20.0)
-        mesh = build_annulus_mesh(cfg)
-        family = shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg)
-        a, _ = assemble(np.zeros(2), family, mesh, cfg)
+        a, _ = _operator("shape", 20.0)
         colamd = spla.splu(a.tocsc())
         factors = lu_factor(a).factors
         fill = factors.L.nnz + factors.U.nnz
         assert fill < colamd.L.nnz + colamd.U.nnz
+
+
+def _ring_laplacian(period, shift):
+    """Cyclic second difference on one ring of ``period`` nodes, plus ``shift`` I:
+    its constant mode has eigenvalue ``shift``."""
+    return sp.diags(
+        [[-1.0], -np.ones(period - 1), np.full(period, 2.0 + shift), -np.ones(period - 1), [-1.0]],
+        [-(period - 1), -1, 0, 1, period - 1],
+        format="csr",
+    )
+
+
+def _relative(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestFourierFactors:
+    """Rotation-invariant matrices factored in the angular Fourier basis."""
+
+    @pytest.mark.parametrize(
+        "kind, k0", [("shape", 8.0), ("shape", 20.0), ("equal-eta", 8.0)]
+    )
+    def test_agrees_with_superlu(self, kind, k0):
+        a, mesh = _operator(kind, k0)
+        pc = lu_factor(a, period=mesh.n_theta)
+        ref = lu_factor(a)
+        assert not isinstance(pc.factors, spla.SuperLU)
+        assert isinstance(ref.factors, spla.SuperLU)
+        rng = np.random.default_rng(13)
+        n = a.shape[0]
+        for shape in [(n,), (n, 3)]:
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = pc.apply(b)
+            assert x.shape == shape
+            assert _relative(x, ref.apply(b)) <= 1e-12
+
+    def test_exact_preconditioner_identity(self):
+        a, mesh = _operator("shape", 8.0)
+        pc = lu_factor(a, period=mesh.n_theta)
+        assert not isinstance(pc.factors, spla.SuperLU)
+        b = np.random.default_rng(14).standard_normal(a.shape[0]) + 0j
+        rep = gmres_left(pc, a, b, tol=1e-5)
+        assert rep.converged and rep.iterations == 1
+        assert contraction_factor(pc, a) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case",
+        ["unequal-eta centre", "shape off centre", "random", "no period", "period not dividing n",
+         "perturbed entry"],
+    )
+    def test_falls_back_to_superlu(self, case):
+        a, mesh = _operator("unequal-eta" if case == "unequal-eta centre" else "shape", 8.0,
+                            np.full(2, 0.3) if case == "shape off centre" else None)
+        period = mesh.n_theta
+        if case == "random":
+            a, period = random_sparse_complex(np.random.default_rng(15), 40), 8
+        elif case == "no period":
+            period = None
+        elif case == "period not dividing n":
+            period += 1
+            assert a.shape[0] % period
+        elif case == "perturbed entry":
+            a = a.tolil()
+            node = 2 * period + 5  # on the third ring, off the scatterer
+            a[node, node] += 1e-10 * np.abs(a.toarray()).max()
+        pc = lu_factor(a, period=period)
+        assert isinstance(pc.factors, spla.SuperLU)
+
+    def test_falls_back_when_the_probe_misses(self):
+        # invariant to within 1e-12 max|a|, but its constant mode is 1e-4:
+        # the factors of the shift average miss the probe by about 3e-9
+        period = 8
+        a = _ring_laplacian(period, 1e-4).tolil()
+        a[0, 0] += 1e-12
+        assert isinstance(lu_factor(a, period=period).factors, spla.SuperLU)
+        exact = lu_factor(_ring_laplacian(period, 1e-4), period=period)
+        assert not isinstance(exact.factors, spla.SuperLU)
+
+    @pytest.mark.parametrize("stored", [7, 8])
+    def test_an_entry_missing_from_its_class_counts_as_zero(self, stored):
+        # offset 2 holds 1e-11 at ``stored`` of the 8 nodes: every stored
+        # entry lies within 1e-12 max|a| of the class mean, a missing one not
+        period = 8
+        a = _ring_laplacian(period, 1.0).tolil()
+        for i in range(stored):
+            a[i, (i + 2) % period] = 1e-11
+        pc = lu_factor(a, period=period)
+        assert isinstance(pc.factors, spla.SuperLU) == (stored < period)
+
+    def test_fill_counts_the_stored_bands(self):
+        a, mesh = _operator("shape", 8.0)
+        factors = lu_factor(a, period=mesh.n_theta).factors
+        n = a.shape[0]
+        # L: unit diagonal and n - 1 multipliers; U: diagonal, two superdiagonals
+        assert factors.L.nnz == 2 * n - 1
+        assert factors.U.nnz == 3 * n - 3
+        assert factors.L.nnz + factors.U.nnz < lu_factor(a).factors.L.nnz
+
+    def test_singular_mode_raises(self):
+        with pytest.raises(SingularMatrixError, match="singular Fourier mode"):
+            lu_factor(_ring_laplacian(8, 0.0), period=8)
 
 
 class TestGmresLeft:

@@ -3,6 +3,7 @@
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -18,7 +19,15 @@ from pcplace.harness import (  # noqa: E402
     run_pipeline,
     sample_parameter_set,
 )
-from pcplace.helmholtz import max_safe_amplitude  # noqa: E402
+from pcplace.helmholtz import (  # noqa: E402
+    HelmholtzConfig,
+    affine_family,
+    assemble,
+    build_annulus_mesh,
+    max_safe_amplitude,
+    shape_family,
+)
+from pcplace.krylov import gmres_left, lu_factor  # noqa: E402
 from pcplace.param_space import ParamBox  # noqa: E402
 from pcplace.placement import (  # noqa: E402
     _cell_totals,
@@ -250,3 +259,38 @@ def test_a_schema_valid_document_is_rejected_or_runs(doc):
         iterations = sum(rec["iterations"] for rec in report.per_point)
         assert np.isfinite(report.cost_total)
         assert report.cost_total == report.n_ratio * report.n_pc + iterations
+
+
+@st.composite
+def invariant_centres(draw):
+    """A small mesh, a family whose box centre is rotation invariant on it
+    (a shape family, or an affine one with equal amplitudes), and targets."""
+    dims = draw(st.integers(1, 3))
+    cfg = HelmholtzConfig(k0=draw(st.floats(2.0, 8.0)), mesh_constant=draw(st.floats(1.0, 2.0)))
+    if draw(st.booleans()):
+        family = affine_family([draw(st.floats(0.05, 0.95))] * dims, cfg)
+    else:
+        decay = draw(st.floats(1.1, 4.0))
+        amplitude = draw(st.floats(0.05, 0.9)) * max_safe_amplitude(decay)
+        family = shape_family(dims, amplitude, decay, cfg)
+    coord = st.floats(-1.0, 1.0)
+    n = draw(st.integers(1, 4))
+    targets = np.array(draw(st.lists(coord, min_size=n * dims, max_size=n * dims)))
+    return cfg, family, targets.reshape(n, dims)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(invariant_centres())
+def test_fourier_preconditioner_takes_superlus_iteration_counts(instance):
+    cfg, family, targets = instance
+    mesh = build_annulus_mesh(cfg)
+    centre, _ = assemble(np.zeros(family.n_dims), family, mesh, cfg)
+    fourier = lu_factor(centre, period=mesh.n_theta)
+    superlu = lu_factor(centre)
+    assert not isinstance(fourier.factors, spla.SuperLU)
+    assert isinstance(superlu.factors, spla.SuperLU)
+    for y in targets:
+        a, b = assemble(y, family, mesh, cfg)
+        got = gmres_left(fourier, a, b, tol=cfg.tol)
+        want = gmres_left(superlu, a, b, tol=cfg.tol)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
