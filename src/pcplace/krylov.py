@@ -101,9 +101,12 @@ class FourierFactors:
         rings = b.reshape(n_r, period, -1)
         # column-major (n, k), mode-major rows: what zgttrs solves in place
         modes = np.empty(rings.shape[::-1], dtype=np.complex128)
-        np.fft.fft(rings, axis=1, out=modes.transpose(2, 1, 0))
-        lapack.zgttrs(*self._bands, modes.reshape(len(modes), -1).T, overwrite_b=1)
-        return np.fft.ifft(modes.transpose(2, 1, 0), axis=1).reshape(b.shape)
+        np.fft.fft(rings, axis=1, out=modes.transpose(2, 1, 0))  # out=: NumPy >= 2.0
+        x, info = lapack.zgttrs(*self._bands, modes.reshape(len(modes), -1).T, overwrite_b=1)
+        if info:
+            raise ValueError(f"zgttrs rejected argument {-info}")
+        x = x.T.reshape(modes.shape).transpose(2, 1, 0)
+        return np.fft.ifft(x, axis=1).reshape(b.shape)
 
     @property
     def L(self) -> sp.dia_matrix:

@@ -140,6 +140,7 @@ class TestFourierFactors:
             x = pc.apply(b)
             assert x.shape == shape
             assert _relative(x, ref.apply(b)) <= 1e-12
+            assert np.array_equal(pc.apply(np.asfortranarray(b)), x)
 
     def test_exact_preconditioner_identity(self):
         a, mesh = _operator("shape", 8.0)
