@@ -228,16 +228,14 @@ def fit_hyperparameters(
     return (float(pick[0]), float(pick[1])), False
 
 
-class _MeanState(NamedTuple):
-    """What a ``GpState``'s posterior mean holds fixed between two fits."""
+class _Fit(NamedTuple):
+    """What a ``GpState``'s posterior holds fixed between two fits."""
 
-    c1: float
-    c2: float
-    b_entries: np.ndarray
     d_entries: np.ndarray | None  # None where the D term is zero
     columns: np.ndarray  # training shifts, one contiguous row per dimension
     lengths: tuple[float, ...]
-    weights: np.ndarray | None  # None before any pair is added
+    factor: tuple | None  # jittered Gram Cholesky factor; None before any pair
+    weights: np.ndarray | None  # None before any pair
 
 
 class GpState:
@@ -245,15 +243,14 @@ class GpState:
 
     Training inputs are shifts delta = y - ybar; the kernel and the prior
     mean see shifts only, which bakes translation invariance into the
-    surrogate.  The Gram factorization is cached and refreshed when points
-    are added; jitter starts at 1e-10 of the largest Gram diagonal and
-    escalates tenfold at most three times.  Everything else the posterior
-    mean holds fixed is built once per fit as well (``_MeanState``: the
-    coefficients, B, D unless its term is zero, the training columns and
-    lengths, the weights) and dropped by ``add_pair`` and ``refit_coeffs``.
-    ``mean`` and ``posterior`` share one evaluation of the posterior mean,
-    so their means agree bitwise; ``posterior`` adds the variance from the
-    same cross-kernel.
+    surrogate.  Everything the posterior holds fixed is one fit (``_Fit``),
+    built on first use and dropped by ``add_pair`` and ``refit_coeffs``:
+    the jittered Cholesky factor of the Gram matrix (jitter starts at 1e-10
+    of its largest diagonal and escalates tenfold at most three times), the
+    weights, the training columns and lengths, and D unless its term is
+    zero.  ``mean`` and ``posterior`` share one evaluation of the posterior
+    mean, so their means agree bitwise; ``posterior`` adds the variance from
+    the same cross-kernel.
     """
 
     def __init__(self, prior: SurrogatePrior, coeffs: tuple[float, float] = (1.0, 1.0)):
@@ -262,8 +259,7 @@ class GpState:
         self.deltas = np.empty((0, prior.dims))
         self.alphas = np.empty(0)
         self.jitter: float = 0.0
-        self._factor = None
-        self._state: _MeanState | None = None
+        self._fit: _Fit | None = None
 
     @property
     def n_train(self) -> int:
@@ -275,8 +271,7 @@ class GpState:
             raise ValueError("shift dimension does not match the prior")
         self.deltas = np.vstack([self.deltas, delta])
         self.alphas = np.append(self.alphas, float(alpha))
-        self._factor = None
-        self._state = None
+        self._fit = None
 
     def refit_coeffs(self) -> bool:
         """MSE-fit the prior coefficients to the current pairs."""
@@ -285,61 +280,52 @@ class GpState:
         )
         if not degenerate:
             self.coeffs = (float(coeffs[0]), float(coeffs[1]))
-            self._state = None
+            self._fit = None
         return degenerate
 
-    def _ensure_factor(self):
-        if self._factor is not None:
-            return
-        gram = kernel_matrix(
-            self.deltas, self.deltas, self.prior.profile.corr_lengths
-        )
-        diag_peak = float(gram.diagonal().max()) if gram.size else 0.0
-        base = 1e-10 * max(diag_peak, 1.0)
-        jitter = base
-        for _ in range(4):
-            try:
-                self._factor = scipy.linalg.cho_factor(
-                    gram + jitter * np.eye(gram.shape[0]), lower=True
-                )
-                self.jitter = jitter
-                return
-            except scipy.linalg.LinAlgError:
-                jitter *= 10.0
-        raise GramFactorizationError(
-            f"Cholesky failed up to jitter {jitter / 10.0:.3e}"
-        )
-
-    def _mean_state(self) -> _MeanState:
-        if self._state is None:
+    def _fitted(self) -> _Fit:
+        """The current fit; the Gram matrix is factored and solved here only."""
+        if self._fit is None:
             prior = self.prior
-            # checks the coefficients, which the state's users skip
+            # checks the coefficients, which the fit's users skip
             mu = prior_mean(self.deltas, self.coeffs, prior.b_weight, prior.d_weight)
-            weights = None
+            factor = weights = None
             if self.n_train:
-                self._ensure_factor()
-                weights = scipy.linalg.cho_solve(self._factor, self.alphas - mu)
-            c1, c2 = self.coeffs
+                gram = kernel_matrix(self.deltas, self.deltas, prior.profile.corr_lengths)
+                jitter = 1e-10 * max(float(gram.diagonal().max()), 1.0)
+                for _ in range(4):
+                    try:
+                        factor = scipy.linalg.cho_factor(
+                            gram + jitter * np.eye(self.n_train), lower=True
+                        )
+                        break
+                    except scipy.linalg.LinAlgError:
+                        jitter *= 10.0
+                else:
+                    raise GramFactorizationError(
+                        f"Cholesky failed up to jitter {jitter / 10.0:.3e}"
+                    )
+                self.jitter = jitter
+                weights = scipy.linalg.cho_solve(factor, self.alphas - mu)
             d_entries = prior.d_weight.entries
-            self._state = _MeanState(
-                c1,
-                c2,
-                prior.b_weight.entries,
-                d_entries if c1 and d_entries.any() else None,
+            self._fit = _Fit(
+                d_entries if self.coeffs[0] and d_entries.any() else None,
                 self.deltas.T.copy(),
                 tuple(float(v) for v in prior.profile.corr_lengths),
+                factor,
                 weights,
             )
-        return self._state
+        return self._fit
 
     def _mean_and_cross(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Posterior mean at the rows of ``d`` and their cross-kernel (``None`` untrained)."""
-        state = self._mean_state()
-        mu = _prior_rows(d, state.c1, state.c2, state.b_entries, state.d_entries)
-        if state.weights is None:
+        fit = self._fitted()
+        c1, c2 = self.coeffs
+        mu = _prior_rows(d, c1, c2, self.prior.b_weight.entries, fit.d_entries)
+        if fit.weights is None:
             return mu, None
-        k_cross = _kernel_rows(d, state.columns, state.lengths)
-        return mu + k_cross @ state.weights, k_cross
+        k_cross = _kernel_rows(d, fit.columns, fit.lengths)
+        return mu + k_cross @ fit.weights, k_cross
 
     def mean(self, deltas: np.ndarray) -> np.ndarray:
         """Posterior mean of alpha at the given shifts, without the variance."""
@@ -352,7 +338,7 @@ class GpState:
         k_self = pair_kernel(d, d, self.prior.profile.corr_lengths).sum(axis=1)
         if k_cross is None:
             return mean, np.maximum(k_self, 0.0)
-        back = scipy.linalg.cho_solve(self._factor, k_cross.T)
+        back = scipy.linalg.cho_solve(self._fitted().factor, k_cross.T)
         var = k_self - np.einsum("ij,ji->i", k_cross, back)
         return mean, np.maximum(var, 0.0)
 
@@ -419,16 +405,18 @@ class TrainedSurrogate:
         """Cost of one Krylov iteration: the reference build over ``m_max``."""
         return self.tau_pc / self.m_max
 
+    def _iterations_at(self, alpha: np.ndarray) -> np.ndarray:
+        """The one alpha → iterations path: clip into the map's domain, skip its check."""
+        return _iterations(np.clip(alpha, ALPHA_MIN, ALPHA_MAX), self.iter_map.tol)
+
     def expected_iterations(self, deltas: np.ndarray) -> np.ndarray:
         """Estimated GMRES iterations for the given parameter shifts (>= 1).
 
-        The planner's metric: it reads the GP's fixed mean state, and the
-        clip keeps alpha inside the iteration map's domain, so its check
-        is skipped.
+        The planner's metric: the GP's posterior mean, without the variance,
+        mapped to iterations.
         """
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
-        alpha = np.clip(self.gp._mean_and_cross(d)[0], ALPHA_MIN, ALPHA_MAX)
-        m = np.maximum(1.0, _iterations(alpha, self.iter_map.tol))
+        m = np.maximum(1.0, self._iterations_at(self.gp.mean(d)))
         return m if np.asarray(deltas).ndim > 1 else float(m[0])
 
     def acquisition(self, deltas: np.ndarray) -> np.ndarray:
@@ -441,13 +429,8 @@ class TrainedSurrogate:
         """
         d = np.atleast_2d(np.asarray(deltas, dtype=float))
         mean, var = self.gp.posterior(d)
-        mid = np.clip(mean, ALPHA_MIN, ALPHA_MAX)
-        hi = np.clip(mean + var, ALPHA_MIN, ALPHA_MAX)
-        lo = np.clip(mean - var, ALPHA_MIN, ALPHA_MAX)
-        e_g = np.maximum(1.0, self.iter_map.iters_from_alpha(mid))
-        v_g = 0.5 * (
-            self.iter_map.iters_from_alpha(hi) - self.iter_map.iters_from_alpha(lo)
-        )
+        e_g = np.maximum(1.0, self._iterations_at(mean))
+        v_g = 0.5 * (self._iterations_at(mean + var) - self._iterations_at(mean - var))
         return np.where(e_g <= self.m_max, v_g / e_g, -np.inf)
 
     def to_json_dict(self) -> dict:
@@ -491,12 +474,26 @@ class TrainedSurrogate:
             WeightMatrix(np.asarray(doc["d_weight"])),
             profile,
         )
+        ybar = np.asarray(doc["ybar"], dtype=float)
+        if ybar.shape != (prior.dims,):
+            raise ValueError(f"surrogate document needs a 'ybar' of {prior.dims} entries")
+        alphas = np.asarray(doc["train_alphas"], dtype=float)
+        # a contraction factor outside (0, 1) has no iteration count
+        if alphas.ndim != 1 or not ((alphas > 0) & (alphas < 1)).all():
+            raise ValueError("surrogate document needs 'train_alphas' in (0, 1)")
+        if len(doc["train_deltas"]) != alphas.size:
+            raise ValueError("surrogate document needs one 'train_deltas' row per alpha")
         gp = GpState(prior, tuple(doc["coeffs"]))
-        for delta, alpha in zip(doc["train_deltas"], doc["train_alphas"]):
-            gp.add_pair(np.asarray(delta), alpha)
+        for delta, alpha in zip(doc["train_deltas"], alphas):
+            delta = np.asarray(delta, dtype=float)
+            if delta.shape != ybar.shape or not np.isfinite(delta).all():
+                raise ValueError(
+                    f"surrogate document needs finite 'train_deltas' of {prior.dims} entries"
+                )
+            gp.add_pair(delta, alpha)
         return cls(
             gp=gp,
-            ybar=np.asarray(doc["ybar"], dtype=float),
+            ybar=ybar,
             m_max=float(doc["m_max"]),
             iter_map=IterationMap(float(doc["tol"])),
             evaluated=[int(i) for i in doc["evaluated"]],

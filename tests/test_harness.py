@@ -692,13 +692,12 @@ class TestCli:
         assert cli_main(["place", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "plan.json").exists()
 
-    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
-    def test_place_rejects_a_surrogate_with_a_zero_cost(self, tmp_path, capsys, key):
-        # tau_pc / m_max prices the planner's sweeps, so a zero would divide by zero
+    def _place_doctored(self, tmp_path, capsys, key, doctor):
+        """``place`` on a trained surrogate edited by ``doctor``: exits 1 naming ``key``."""
         cfg = self._config_file(tmp_path, n_points=8)
         assert cli_main(["train", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "surrogate.json").read_text())
-        doc[key] = 0.0
+        doctor(doc)
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -706,6 +705,30 @@ class TestCli:
         assert code == 1
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "plan.json").exists()
+
+    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
+    def test_place_rejects_a_surrogate_with_a_zero_cost(self, tmp_path, capsys, key):
+        # tau_pc / m_max prices the planner's sweeps, so a zero would divide by zero
+        self._place_doctored(tmp_path, capsys, key, lambda doc: doc.update({key: 0.0}))
+
+    @pytest.mark.parametrize(
+        "key, last",
+        [("train_alphas", a) for a in (1.5, -0.2, float("nan"))]
+        + [("train_deltas", None), ("ybar", [0.0, 0.0])],
+    )
+    def test_place_rejects_a_surrogate_with_malformed_training_data(
+        self, tmp_path, capsys, key, last
+    ):
+        # an alpha outside (0, 1) has no iteration count and a ybar of the
+        # wrong shape shifts the targets wrongly, yet the planner returns a
+        # plan for either; last None drops the final delta
+        def doctor(doc):
+            if last is None:
+                doc[key].pop()
+            else:
+                doc[key][-1] = last
+
+        self._place_doctored(tmp_path, capsys, key, doctor)
 
     def test_baseline_and_report_conversion(self, tmp_path):
         cfg = self._config_file(tmp_path)

@@ -84,7 +84,9 @@ def test_iterations_survive_alpha_roundtrip(m):
     assert abs(back - m) <= 1e-12 * m
 
 
-@pytest.mark.xfail(strict=True, reason="iters_from_alpha cancels below alpha ~ 1e-8")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="iters_from_alpha cancels below alpha ~ 1e-8"
+)
 def test_roundtrip_at_one_iteration():
     # the GP's anchor: alpha_from_iters(1) = 2.5e-11
     alpha = ITER_MAP.alpha_from_iters(1.0)
@@ -190,7 +192,9 @@ def test_locate_beats_the_descents_that_leave_a_member(cell, weight, c, member, 
 
 
 @pytest.mark.xfail(
-    strict=True, reason="a finite-difference step stays in the one-iteration floor"
+    strict=True,
+    raises=AssertionError,
+    reason="a finite-difference step stays in the one-iteration floor",
 )
 def test_descent_leaves_a_member_in_the_floor_band():
     # An instance the search above can draw.  Along y_2 the weight is
@@ -204,7 +208,11 @@ def test_descent_leaves_a_member_in_the_floor_band():
     assert np.array_equal(_descent_end(cell, weight, 1.0, member), member)
 
 
-@pytest.mark.xfail(strict=True, reason="the first line search can land near a heavier cluster")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the first line search can land near a heavier cluster",
+)
 def test_descent_leaves_a_lone_member_for_a_heavier_cluster():
     # An instance the search above can draw.  The first trial step from the
     # lone member runs to the box edge, and the backtracking lands near the

@@ -274,6 +274,7 @@ class TestPosterior:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="pair_kernel depends only on |d1| and |d2|, so sign-flip twins "
         "have one kernel row and the Gram matrix is singular up to jitter",
     )
@@ -328,14 +329,19 @@ class TestMeanState:
 
     @staticmethod
     def assert_public(surr: TrainedSurrogate, d: np.ndarray):
-        """``mean``, ``posterior`` and ``expected_iterations`` equal the checked path."""
+        """The posterior, ``expected_iterations`` and ``acquisition`` equal the checked path."""
         fast = surr.gp.mean(d)  # factors the Gram matrix, which sets the jitter
         mean = public_mean(surr.gp, d)
         assert np.array_equal(fast, mean)
-        assert np.array_equal(surr.gp.posterior(d)[0], mean)
-        alpha = np.clip(mean, ALPHA_MIN, ALPHA_MAX)
-        m = np.maximum(1.0, surr.iter_map.iters_from_alpha(alpha))
+        post_mean, var = surr.gp.posterior(d)
+        assert np.array_equal(post_mean, mean)
+        im = surr.iter_map
+        m = np.maximum(1.0, im.iters_from_alpha(np.clip(mean, ALPHA_MIN, ALPHA_MAX)))
         assert np.array_equal(surr.expected_iterations(d), m)
+        hi = im.iters_from_alpha(np.clip(mean + var, ALPHA_MIN, ALPHA_MAX))
+        lo = im.iters_from_alpha(np.clip(mean - var, ALPHA_MIN, ALPHA_MAX))
+        score = np.where(m <= surr.m_max, 0.5 * (hi - lo) / m, -np.inf)
+        assert np.array_equal(surr.acquisition(d), score)
 
     @staticmethod
     def assert_same(a: TrainedSurrogate, b: TrainedSurrogate, d: np.ndarray):
@@ -372,7 +378,9 @@ class TestMeanState:
         self.assert_same(incremental, fresh, probe)
 
         doc = json.loads(json.dumps(incremental.to_json_dict()))
-        self.assert_same(incremental, TrainedSurrogate.from_json_dict(doc), probe)
+        back = TrainedSurrogate.from_json_dict(doc)
+        self.assert_same(incremental, back, probe)
+        self.assert_public(back, probe)
 
 
 def synthetic_oracle(points, prior, coeffs, ratio=100.0, noise=None):
@@ -632,14 +640,35 @@ class TestSerialization:
         assert back.evaluated == surr.evaluated
         assert_array_equal(back.gp.prior.profile.corr_lengths, surr.gp.prior.profile.corr_lengths)
 
-    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    def test_load_rejects_a_non_positive_cost(self, key, value):
+    @staticmethod
+    def _document() -> dict:
         rng = np.random.default_rng(16)
         pts = ParamSet(ParamBox.symmetric_unit(1), rng.uniform(-1, 1, size=(6, 1)))
         prior = make_prior(1, b_diag=[1.0], d_diag=[0.0])
         surr = train_surrogate_core(pts, synthetic_oracle(pts, prior, (0.0, 0.05)), prior)
-        doc = json.loads(json.dumps(surr.to_json_dict()))
+        return json.loads(json.dumps(surr.to_json_dict()))
+
+    @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_load_rejects_a_non_positive_cost(self, key, value):
+        doc = self._document()
         doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TrainedSurrogate.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, last",
+        [("train_alphas", a) for a in (float("nan"), 0.0, 1.0, 1.5, -0.2)]
+        + [("train_deltas", d) for d in ([float("nan")], [0.1, 0.2], None)]
+        + [("ybar", None)],
+    )
+    def test_load_rejects_malformed_training_data(self, key, last):
+        # last None drops the final entry: a delta without its alpha, or a
+        # centre ybar of the wrong dimension
+        doc = self._document()
+        if last is None:
+            doc[key].pop()
+        else:
+            doc[key][-1] = last
         with pytest.raises(ValueError, match=f"'{key}'"):
             TrainedSurrogate.from_json_dict(doc)
