@@ -14,6 +14,7 @@ failed), 1 error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -23,45 +24,42 @@ from .harness import (
     baseline_per_point,
     emit_report,
     load_report,
+    load_surrogate,
     place,
     run_pipeline,
     sample_parameter_set,
+    save_surrogate,
     train,
 )
-from .surrogate import TrainedSurrogate
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument(
-        "--cost-mode",
-        choices=["synthetic", "measured"],
-        default=None,
-        help="override cost accounting mode",
-    )
+    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--out", help="override output directory")
+    parser.add_argument("--cost-mode", help="override cost mode: synthetic or measured")
 
 
-def _load_config(args) -> ExperimentConfig:
-    exp = ExperimentConfig.from_file(args.config)
-    return exp.with_overrides(
-        seed=args.seed, cost_mode=args.cost_mode, output_dir=args.out
-    )
-
-
-def _outdir(exp: ExperimentConfig) -> Path:
+def _load_config(args) -> tuple[ExperimentConfig, Path]:
+    """The config with the command line's overrides, schema-checked, and its output directory."""
+    with open(args.config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):  # anything else fails the schema as it stands
+        overrides = {"seed": args.seed, "output_dir": args.out}
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
+        if args.cost_mode is not None and isinstance(doc.get("cost", {}), dict):
+            doc["cost"] = {**doc.get("cost", {}), "mode": args.cost_mode}
+    exp = ExperimentConfig.from_dict(doc)
     out = Path(exp.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return exp, out
 
 
 def _cmd_train(args) -> int:
-    exp = _load_config(args)
-    out = _outdir(exp)
+    exp, out = _load_config(args)
     surrogate, oracle = train(exp)
     path = out / "surrogate.json"
-    surrogate.save(path)
+    save_surrogate(exp, surrogate, path)
     print(
         f"trained on {len(surrogate.evaluated)} of {len(oracle.points)} points, "
         f"m_max={surrogate.m_max:.2f} -> {path}"
@@ -70,14 +68,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_place(args) -> int:
-    exp = _load_config(args)
-    out = _outdir(exp)
-    surrogate_path = args.surrogate or out / "surrogate.json"
-    surrogate = TrainedSurrogate.load(surrogate_path)
+    exp, out = _load_config(args)
+    surrogate = load_surrogate(exp, args.surrogate or out / "surrogate.json")
     remaining = sample_parameter_set(exp).without_indices(surrogate.evaluated)
-    if len(remaining) == 0:
-        print("training consumed every target; nothing to place")
-        return 0
     plan = place(exp, surrogate, remaining)
     path = out / "plan.json"
     plan.save(path)
@@ -89,10 +82,9 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    exp = _load_config(args)
-    out = _outdir(exp)
+    exp, out = _load_config(args)
     report, surrogate, plan = run_pipeline(exp)
-    surrogate.save(out / "surrogate.json")
+    save_surrogate(exp, surrogate, out / "surrogate.json")
     plan.save(out / "plan.json")
     emit_report(report, "json", out / "report_pipeline.json")
     emit_report(report, "csv", out / "report_pipeline.csv")
@@ -104,8 +96,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    exp = _load_config(args)
-    out = _outdir(exp)
+    exp, out = _load_config(args)
     kinds = ["mean", "per-point"] if args.kind == "both" else [args.kind]
     degraded = False
     for kind in kinds:

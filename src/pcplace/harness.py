@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import jsonschema
 import numpy as np
@@ -36,6 +37,8 @@ from .param_space import ParamBox, ParamSet
 from .placement import PlacementPlan, plan_placement
 from .surrogate import (
     FemSolveOracle,
+    GpState,
+    IterationMap,
     TrainedSurrogate,
     _running_total,
     train_surrogate_core,
@@ -43,12 +46,15 @@ from .surrogate import (
 
 __all__ = [
     "CONFIG_SCHEMA",
+    "SURROGATE_SCHEMA",
     "CSV_HEADER",
     "ExperimentConfig",
     "RunReport",
     "sample_parameter_set",
     "train",
     "place",
+    "save_surrogate",
+    "load_surrogate",
     "run_pipeline",
     "baseline_mean_based",
     "baseline_per_point",
@@ -110,8 +116,23 @@ CONFIG_SCHEMA = {
     },
 }
 
+# JSON has no NaN or infinities, but Python's json module reads them: the
+# documents the package reads take finite numbers only (x == x fails for NaN)
+_NUMBER = jsonschema.Draft202012Validator.TYPE_CHECKER
+_FINITE = _NUMBER.redefine(
+    "number", lambda _, x: _NUMBER.is_type(x, "number") and x == x and abs(x) != math.inf
+)
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=_FINITE)
 # built once: jsonschema.validate checks the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_VALIDATOR = _Validator(CONFIG_SCHEMA)
+
+
+def _validate(validator, doc) -> None:
+    """Raise ``doc``'s most relevant schema error, as jsonschema.validate does."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise error
+
 
 # (CSV column, RunReport field) of the summary row
 _CSV_COLUMNS = (
@@ -187,9 +208,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-        if error is not None:
-            raise error
+        _validate(_VALIDATOR, doc)
         fam = doc["family"]
         kind = fam["kind"]
         required = ("eta",) if kind == "affine" else ("n_dims", "amplitude", "decay")
@@ -210,15 +229,6 @@ class ExperimentConfig:
             flat["n_dims"] = len(fam["eta"])
         return cls(**{k: _CASTS[k](v) if k in _CASTS else v for k, v in flat.items()})
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def with_overrides(self, seed=None, cost_mode=None, output_dir=None):
-        updates = dict(seed=seed, cost_mode=cost_mode, output_dir=output_dir)
-        return replace(self, **{k: v for k, v in updates.items() if v is not None})
-
     # problem construction -------------------------------------------------
 
     def helmholtz_config(self) -> HelmholtzConfig:
@@ -237,6 +247,34 @@ class ExperimentConfig:
 
     def cost_policy(self) -> CostPolicy:
         return CostPolicy(mode=self.cost_mode, c_build=self.c_build, c_iter=self.c_iter)
+
+
+# Training reads every config field but the placement section's and the
+# output directory, which `place` may change.  surrogate.json holds those
+# fields and what training measured; the config rebuilds everything else.
+_TRAINED_ON = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if f.name not in (*CONFIG_SCHEMA["properties"]["placement"]["properties"], "output_dir")
+)
+SURROGATE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["format_version", "trained_on", "evaluated", "train_alphas", "m_max", "tau_pc"],
+    # the keys `place` reads; the others are written for the reader
+    "properties": {
+        "format_version": {"const": 2},
+        "trained_on": {"type": "object", "required": list(_TRAINED_ON),
+                       "propertyNames": {"enum": list(_TRAINED_ON)}},
+        # target indices in training order, one per train alpha
+        "evaluated": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                      "minItems": 1, "uniqueItems": True},
+        "train_alphas": {"type": "array", "items": {
+            "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}},
+        "m_max": {"type": "number", "exclusiveMinimum": 0},
+        "tau_pc": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+_SURROGATE_VALIDATOR = _Validator(SURROGATE_SCHEMA)
 
 
 def sample_parameter_set(exp: ExperimentConfig) -> ParamSet:
@@ -380,6 +418,54 @@ def train(exp: ExperimentConfig) -> tuple[TrainedSurrogate, FemSolveOracle]:
         sp_window=exp.sp_window,
     )
     return surrogate, oracle
+
+
+def save_surrogate(exp: ExperimentConfig, surrogate: TrainedSurrogate, path) -> None:
+    """Write what training on ``exp`` measured, with the config fields it read."""
+    doc = {
+        "format_version": 2,
+        "trained_on": {name: getattr(exp, name) for name in _TRAINED_ON},
+        "train_alphas": surrogate.gp.alphas[1:],  # the pairs after the origin pin
+        **{key: getattr(surrogate, key) for key in (
+            "evaluated", "m_max", "tau_pc", "budget_exhausted", "sp_history", "degenerate_fit")},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonify(doc), fh, indent=1, sort_keys=True)
+
+
+def load_surrogate(exp: ExperimentConfig, path) -> TrainedSurrogate:
+    """Rebuild the surrogate ``save_surrogate`` wrote after training on ``exp``.
+
+    The GP is rebuilt pair by pair as training built it and refit once, which
+    is bitwise training's last refit: a refit is a function of the pairs, and
+    a pair set is degenerate only if all its subsets are.
+    """
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("format_version") != 2:
+        raise ValueError("surrogate document is not of 'format_version' 2: retrain it")
+    _validate(_SURROGATE_VALIDATOR, doc)
+    for name in _TRAINED_ON:
+        if doc["trained_on"][name] != (value := _jsonify(getattr(exp, name))):
+            raise ValueError(
+                f"surrogate was trained with '{name}' {doc['trained_on'][name]!r}, not the "
+                f"config's {value!r}: retrain it, or place with the training config"
+            )
+    evaluated, alphas = [int(i) for i in doc["evaluated"]], doc["train_alphas"]
+    if len(alphas) != len(evaluated):
+        raise ValueError("surrogate document needs one 'train_alphas' entry per 'evaluated' one")
+    targets = sample_parameter_set(exp)
+    if max(evaluated) >= len(targets):
+        raise ValueError(f"surrogate's 'evaluated' exceeds the config's {len(targets)} targets")
+    iter_map, ybar = IterationMap(exp.tol), targets.box.center
+    gp = GpState(exp.build_family(exp.helmholtz_config()).prior)
+    gp.add_pair(np.zeros(exp.n_dims), iter_map.alpha_from_iters(1.0))  # training's origin pin
+    for index, alpha in zip(evaluated, alphas):
+        gp.add_pair(targets.points[index] - ybar, alpha)
+    return TrainedSurrogate(
+        gp=gp, ybar=ybar, m_max=float(doc["m_max"]), iter_map=iter_map, evaluated=evaluated,
+        tau_pc=float(doc["tau_pc"]), degenerate_fit=gp.refit_coeffs(),
+    )
 
 
 def place(

@@ -20,7 +20,6 @@ criterion.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import time
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ import scipy.linalg
 from . import helmholtz
 from .krylov import BreakdownError, SingularMatrixError, gmres_left, lu_factor
 from .param_space import (
-    AnisotropyProfile,
     ParamSet,
     SurrogatePrior,
     WeightMatrix,
@@ -432,81 +430,6 @@ class TrainedSurrogate:
         e_g = np.maximum(1.0, self._iterations_at(mean))
         v_g = 0.5 * (self._iterations_at(mean + var) - self._iterations_at(mean - var))
         return np.where(e_g <= self.m_max, v_g / e_g, -np.inf)
-
-    def to_json_dict(self) -> dict:
-        prior = self.gp.prior
-        return {
-            "format_version": 1,
-            "tol": self.iter_map.tol,
-            "ybar": self.ybar.tolist(),
-            "m_max": self.m_max,
-            "tau_pc": self.tau_pc,
-            "tau_krylov": self.tau_krylov,
-            "coeffs": list(self.gp.coeffs),
-            "train_deltas": self.gp.deltas.tolist(),
-            "train_alphas": self.gp.alphas.tolist(),
-            "b_weight": prior.b_weight.entries.tolist(),
-            "d_weight": prior.d_weight.entries.tolist(),
-            "gamma": prior.profile.gamma.tolist(),
-            "corr_lengths": prior.profile.corr_lengths.tolist(),
-            "domain_diameter": prior.profile.domain_diameter,
-            "evaluated": [int(i) for i in self.evaluated],
-            "budget_exhausted": self.budget_exhausted,
-            "sp_history": self.sp_history,
-            "degenerate_fit": self.degenerate_fit,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrainedSurrogate":
-        if doc.get("format_version") != 1:
-            raise ValueError("unsupported surrogate document version")
-        # tau_krylov = tau_pc / m_max prices the planner's sweeps
-        for key in ("tau_pc", "m_max"):
-            if not float(doc[key]) > 0:
-                raise ValueError(f"surrogate document needs a positive '{key}'")
-        profile = AnisotropyProfile(np.asarray(doc["gamma"]), float(doc["domain_diameter"]))
-        prior = SurrogatePrior(
-            WeightMatrix(np.asarray(doc["b_weight"])),
-            WeightMatrix(np.asarray(doc["d_weight"])),
-            profile,
-        )
-        ybar = np.asarray(doc["ybar"], dtype=float)
-        if ybar.shape != (prior.dims,):
-            raise ValueError(f"surrogate document needs a 'ybar' of {prior.dims} entries")
-        alphas = np.asarray(doc["train_alphas"], dtype=float)
-        # a contraction factor outside (0, 1) has no iteration count
-        if alphas.ndim != 1 or not ((alphas > 0) & (alphas < 1)).all():
-            raise ValueError("surrogate document needs 'train_alphas' in (0, 1)")
-        if len(doc["train_deltas"]) != alphas.size:
-            raise ValueError("surrogate document needs one 'train_deltas' row per alpha")
-        gp = GpState(prior, tuple(doc["coeffs"]))
-        for delta, alpha in zip(doc["train_deltas"], alphas):
-            delta = np.asarray(delta, dtype=float)
-            if delta.shape != ybar.shape or not np.isfinite(delta).all():
-                raise ValueError(
-                    f"surrogate document needs finite 'train_deltas' of {prior.dims} entries"
-                )
-            gp.add_pair(delta, alpha)
-        return cls(
-            gp=gp,
-            ybar=ybar,
-            m_max=float(doc["m_max"]),
-            iter_map=IterationMap(float(doc["tol"])),
-            evaluated=[int(i) for i in doc["evaluated"]],
-            tau_pc=float(doc["tau_pc"]),
-            budget_exhausted=bool(doc["budget_exhausted"]),
-            sp_history=list(doc.get("sp_history", [])),
-            degenerate_fit=bool(doc.get("degenerate_fit", False)),
-        )
-
-    @classmethod
-    def load(cls, path) -> "TrainedSurrogate":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def train_surrogate_core(

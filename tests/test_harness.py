@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -61,6 +63,15 @@ def oracles(monkeypatch):
 
     monkeypatch.setattr(harness, "_oracle", capture)
     return made
+
+
+def number_keys(schema, path=()):
+    """Each number-typed key of ``schema`` (an array's, for its items), as a key path."""
+    for key, sub in schema.get("properties", {}).items():
+        for types in (sub.get("type", ()), sub.get("items", {}).get("type", ())):
+            if "number" in ([types] if isinstance(types, str) else types):
+                yield (*path, key)
+        yield from number_keys(sub, (*path, key))
 
 
 class TestConfig:
@@ -203,11 +214,51 @@ class TestConfig:
         )
         assert repr(exp) == repr(expected)
 
-    def test_overrides_replace_only_given_values(self):
-        exp = small_affine_config()
-        assert exp.with_overrides() == exp
-        moved = exp.with_overrides(seed=3, output_dir="elsewhere")
-        assert moved == replace(exp, seed=3, output_dir="elsewhere")
+    def test_overrides_replace_only_given_values(self, tmp_path):
+        # training records every config field it read, so the surrogate
+        # shows which values reached the config
+        doc = {
+            "family": {"kind": "affine", "eta": [0.25]},
+            "k0": 5.0,
+            "n_points": 5,
+            "seed": 7,
+            "cost": {"c_iter": 2e-6},
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        moved = tmp_path / "moved"
+        overrides = ["--seed", "3", "--out", str(moved), "--cost-mode", "measured"]
+        assert cli_main(["train", "--config", str(path), *overrides]) == 0
+        assert not (tmp_path / "out").exists()
+        assert cli_main(["train", "--config", str(path)]) == 0
+        given, overridden = (
+            json.loads((out / "surrogate.json").read_text())["trained_on"]
+            for out in (tmp_path / "out", moved)
+        )
+        assert (given["seed"], given["cost_mode"], given["c_iter"]) == (7, "synthetic", 2e-6)
+        assert overridden == {**given, "seed": 3, "cost_mode": "measured"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("keys", list(number_keys(CONFIG_SCHEMA)), ids="-".join)
+    def test_non_finite_numbers_fail_before_the_output_directory(
+        self, tmp_path, capsys, keys, value
+    ):
+        doc = {"family": {"kind": "affine", "eta": [0.5]}, "k0": 5.0, "n_points": 3}
+        if keys[-1] in ("amplitude", "decay"):
+            doc["family"] = {"kind": "shape", "n_dims": 1, "amplitude": 0.1, "decay": 2.0}
+        *sections, key = keys
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = [value] if key == "eta" else value
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSampling:
@@ -664,15 +715,16 @@ class TestReports:
 
 
 class TestCli:
-    def _config_file(self, tmp_path, n_points=5):
+    def _config_file(self, tmp_path, n_points=5, name="config.json", **changes):
         doc = {
             "family": {"kind": "affine", "eta": [0.25]},
             "k0": 5.0,
             "n_points": n_points,
             "seed": 11,
             "output_dir": str(tmp_path / "out"),
+            **changes,
         }
-        path = tmp_path / "config.json"
+        path = tmp_path / name
         path.write_text(json.dumps(doc))
         return path
 
@@ -692,6 +744,33 @@ class TestCli:
         assert cli_main(["place", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "plan.json").exists()
 
+    @staticmethod
+    def _affine_place(tmp_path):
+        """The affine-place benchmark workload's seed-0 config: the planner places 9 PCs."""
+        bench = Path(__file__).parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", bench)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(workloads.config_doc("affine-place", 0)))
+        return path
+
+    @pytest.mark.parametrize("config", ["one-target", "affine-place"])
+    def test_train_then_place_writes_runs_plan(self, tmp_path, config):
+        # one target: training consumes it, and the plan holds the mean PC only
+        if config == "one-target":
+            cfg = self._config_file(tmp_path, n_points=1)
+        else:
+            cfg = self._affine_place(tmp_path)
+        ran, placed = tmp_path / "ran", tmp_path / "placed"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(ran)]) == 0
+        assert cli_main(["train", "--config", str(cfg), "--out", str(placed)]) == 0
+        assert cli_main(["place", "--config", str(cfg), "--out", str(placed)]) == 0
+        plan = (ran / "plan.json").read_bytes()
+        assert (placed / "plan.json").read_bytes() == plan
+        n_pc = len(json.loads(plan)["pc_locations"])
+        assert n_pc == (1 if config == "one-target" else 9)
+
     def _place_doctored(self, tmp_path, capsys, key, doctor):
         """``place`` on a trained surrogate edited by ``doctor``: exits 1 naming ``key``."""
         cfg = self._config_file(tmp_path, n_points=8)
@@ -703,32 +782,69 @@ class TestCli:
         capsys.readouterr()
         code = cli_main(["place", "--config", str(cfg), "--surrogate", str(doctored)])
         assert code == 1
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
         assert not (tmp_path / "out" / "plan.json").exists()
+        return err
 
     @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
     def test_place_rejects_a_surrogate_with_a_zero_cost(self, tmp_path, capsys, key):
         # tau_pc / m_max prices the planner's sweeps, so a zero would divide by zero
         self._place_doctored(tmp_path, capsys, key, lambda doc: doc.update({key: 0.0}))
 
-    @pytest.mark.parametrize(
-        "key, last",
-        [("train_alphas", a) for a in (1.5, -0.2, float("nan"))]
-        + [("train_deltas", None), ("ybar", [0.0, 0.0])],
-    )
+    @pytest.mark.parametrize("key, last", [("train_alphas", a) for a in (1.5, -0.2, float("nan"))])
     def test_place_rejects_a_surrogate_with_malformed_training_data(
         self, tmp_path, capsys, key, last
     ):
-        # an alpha outside (0, 1) has no iteration count and a ybar of the
-        # wrong shape shifts the targets wrongly, yet the planner returns a
-        # plan for either; last None drops the final delta
+        # an alpha outside (0, 1) has no iteration count, yet the planner
+        # would return a plan for it
         def doctor(doc):
-            if last is None:
-                doc[key].pop()
-            else:
-                doc[key][-1] = last
+            doc[key][-1] = last
 
         self._place_doctored(tmp_path, capsys, key, doctor)
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("evaluated", lambda doc: doc["evaluated"][:-1] + [99]),
+            ("evaluated", lambda doc: doc["evaluated"][:-1] + doc["evaluated"][:1]),
+            ("train_alphas", lambda doc: doc["train_alphas"][:-1]),
+            ("m_max", lambda doc: float("nan")),
+            ("tau_pc", lambda doc: float("nan")),
+            ("format_version", lambda doc: 1),
+        ],
+        ids=["evaluated-99", "evaluated-repeated", "alphas-short", "m_max-nan", "tau_pc-nan",
+             "version-1"],
+    )
+    def test_place_rejects_a_doctored_surrogate(self, tmp_path, capsys, key, change):
+        # 99 names a target the 8-target config lacks; a surrogate of an
+        # older format must be trained again
+        doctor = lambda doc: doc.update({key: change(doc)})  # noqa: E731
+        err = self._place_doctored(tmp_path, capsys, key, doctor)
+        assert key != "format_version" or "retrain" in err
+
+    def test_place_rejects_a_surrogate_trained_on_another_config(self, tmp_path, capsys):
+        trained = self._config_file(
+            tmp_path, n_points=8, family={"kind": "affine", "eta": [0.25, 0.5]}
+        )
+        assert cli_main(["train", "--config", str(trained)]) == 0
+        surrogate = str(tmp_path / "out" / "surrogate.json")
+        # placement settings and the output directory may differ
+        moved = self._config_file(
+            tmp_path, n_points=8, name="moved.json", family={"kind": "affine", "eta": [0.25, 0.5]},
+            placement={"n_restarts": 0, "kappa": 2.0}, output_dir=str(tmp_path / "moved"),
+        )
+        assert cli_main(["place", "--config", str(moved), "--surrogate", surrogate]) == 0
+        other = self._config_file(
+            tmp_path, n_points=30, name="other.json", family={"kind": "affine", "eta": [0.9, 0.9]},
+            k0=9.0, tol=0.01, output_dir=str(tmp_path / "other"),
+        )
+        capsys.readouterr()
+        assert cli_main(["place", "--config", str(other), "--surrogate", surrogate]) == 1
+        err = capsys.readouterr().err
+        # k0 is the first training field, in field order, that differs
+        assert "'k0'" in err and "'eta'" not in err
+        assert not (tmp_path / "other" / "plan.json").exists()
 
     def test_baseline_and_report_conversion(self, tmp_path):
         cfg = self._config_file(tmp_path)
@@ -778,6 +894,12 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_negative_seed_fails_before_the_output_directory(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path)
+        assert cli_main(["run", "--config", str(cfg), "--seed", "-1"]) == 1
+        assert "'seed'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_error(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Hypothesis property tests of invariants the planner relies on."""
 
+import tempfile
+
 import jsonschema
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from pcplace.harness import (  # noqa: E402
     ExperimentConfig,
     baseline_mean_based,
     baseline_per_point,
+    load_surrogate,
     run_pipeline,
     sample_parameter_set,
+    save_surrogate,
 )
 from pcplace.helmholtz import (  # noqa: E402
     HelmholtzConfig,
@@ -260,13 +264,20 @@ def test_a_schema_valid_document_is_rejected_or_runs(doc):
         exp = ExperimentConfig.from_dict(doc)
     except ValueError:
         return
-    n_targets = len(sample_parameter_set(exp))
-    reports = [run_pipeline(exp)[0], baseline_mean_based(exp), baseline_per_point(exp)]
+    targets = sample_parameter_set(exp)
+    report, surrogate, _ = run_pipeline(exp)
+    reports = [report, baseline_mean_based(exp), baseline_per_point(exp)]
     for report in reports:
-        assert len(report.per_point) == n_targets
+        assert len(report.per_point) == len(targets)
         iterations = sum(rec["iterations"] for rec in report.per_point)
         assert np.isfinite(report.cost_total)
         assert report.cost_total == report.n_ratio * report.n_pc + iterations
+    # `place` refits the GP from the saved pairs: bitwise the trained one
+    with tempfile.TemporaryDirectory() as tmp:
+        save_surrogate(exp, surrogate, f"{tmp}/surrogate.json")
+        loaded = load_surrogate(exp, f"{tmp}/surrogate.json")
+    deltas = targets.points - surrogate.ybar
+    assert np.array_equal(loaded.expected_iterations(deltas), surrogate.expected_iterations(deltas))
 
 
 @st.composite

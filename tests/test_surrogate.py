@@ -1,11 +1,13 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pcplace.helmholtz import HelmholtzConfig, affine_family, max_safe_amplitude, shape_family
+from pcplace.harness import ExperimentConfig, load_surrogate, sample_parameter_set, save_surrogate
+from pcplace.helmholtz import max_safe_amplitude
 from pcplace.krylov import CostPolicy
 from pcplace.param_space import (
     ParamBox,
@@ -314,17 +316,19 @@ def public_mean(gp: GpState, d: np.ndarray) -> np.ndarray:
 class TestMeanState:
     """The mean state a GP builds once per fit, against a fresh build."""
 
-    CFG = HelmholtzConfig(k0=8.0)
-    PRIORS = {
-        "affine": affine_family([0.8, 0.5], CFG).prior,  # D = 0
-        "shape": shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, CFG).prior,  # D = B
+    FAMILIES = {
+        "affine": {"kind": "affine", "eta": [0.8, 0.5]},  # D = 0
+        "shape": {  # D = B
+            "kind": "shape", "n_dims": 2, "amplitude": 0.5 * max_safe_amplitude(2.0),
+            "decay": 2.0,
+        },
     }
 
     @staticmethod
-    def surrogate(gp: GpState) -> TrainedSurrogate:
+    def surrogate(gp: GpState, evaluated=()) -> TrainedSurrogate:
         return TrainedSurrogate(
             gp=gp, ybar=np.zeros(2), m_max=50.0, iter_map=IterationMap(1e-5),
-            evaluated=[], tau_pc=1.0,
+            evaluated=list(evaluated), tau_pc=1.0,
         )
 
     @staticmethod
@@ -352,16 +356,20 @@ class TestMeanState:
 
     @pytest.mark.parametrize("kind", ["affine", "shape"])
     @pytest.mark.parametrize("rows", [1, 500])
-    def test_state_follows_every_pair_and_refit(self, kind, rows):
-        prior = self.PRIORS[kind]
-        rng = np.random.default_rng(rows)
-        probe = rng.uniform(-1, 1, (rows, 2))
-        deltas = np.vstack([np.zeros(2), rng.uniform(-1, 1, (8, 2))])
-        alphas = 0.4 * np.tanh(np.linalg.norm(deltas, axis=1) ** 3) + 2.5e-11
+    def test_state_follows_every_pair_and_refit(self, kind, rows, tmp_path):
+        # the shifts are the config's targets (ybar = 0), after the origin pin
+        exp = ExperimentConfig.from_dict(
+            {"family": self.FAMILIES[kind], "k0": 8.0, "n_points": 8, "seed": rows}
+        )
+        prior = exp.build_family(exp.helmholtz_config()).prior
+        probe = np.random.default_rng(rows).uniform(-1, 1, (rows, 2))
+        deltas = np.vstack([np.zeros(2), sample_parameter_set(exp).points])
+        alphas = 0.4 * np.tanh(np.linalg.norm(deltas, axis=1) ** 3)
+        alphas[0] = IterationMap(exp.tol).alpha_from_iters(1.0)
 
         # in training order, evaluated after every step: a state that
         # add_pair or refit_coeffs leaves stale shows in the next check
-        incremental = self.surrogate(GpState(prior))
+        incremental = self.surrogate(GpState(prior), evaluated=range(8))
         self.assert_public(incremental, probe)  # no pair: the D term is live for shape
         for delta, alpha in zip(deltas, alphas):
             incremental.gp.add_pair(delta, alpha)
@@ -377,8 +385,9 @@ class TestMeanState:
             fresh.gp.add_pair(delta, alpha)
         self.assert_same(incremental, fresh, probe)
 
-        doc = json.loads(json.dumps(incremental.to_json_dict()))
-        back = TrainedSurrogate.from_json_dict(doc)
+        # one refit of the saved pairs is bitwise the refit after every pair
+        save_surrogate(exp, incremental, tmp_path / "surrogate.json")
+        back = load_surrogate(exp, tmp_path / "surrogate.json")
         self.assert_same(incremental, back, probe)
         self.assert_public(back, probe)
 
@@ -620,55 +629,53 @@ class TestOracleRatio:
 
 
 class TestSerialization:
+    """``save_surrogate`` / ``load_surrogate`` on a synthetic-oracle training run."""
+
+    @staticmethod
+    def _trained(seed, n_points, eta, noise=None):
+        exp = ExperimentConfig.from_dict(
+            {"family": {"kind": "affine", "eta": eta}, "k0": 5.0, "n_points": n_points,
+             "seed": seed}
+        )
+        pts = sample_parameter_set(exp)
+        prior = exp.build_family(exp.helmholtz_config()).prior
+        oracle = synthetic_oracle(pts, prior, (0.0, 0.05), noise=noise)
+        return exp, train_surrogate_core(pts, oracle, prior, tol=exp.tol)
+
     def test_roundtrip_preserves_predictions(self, tmp_path):
-        rng = np.random.default_rng(15)
-        box = ParamBox.symmetric_unit(2)
-        pts = ParamSet(box, rng.uniform(-1, 1, size=(25, 2)))
-        prior = make_prior(2, b_diag=[1.0, 0.3], d_diag=[0.0, 0.0])
-        oracle = synthetic_oracle(
-            pts, prior, (0.0, 0.05), noise=lambda p: np.cos(2.0 * p)
-        )
-        surr = train_surrogate_core(pts, oracle, prior)
+        exp, surr = self._trained(15, 25, [0.8, 0.4], noise=lambda p: np.cos(2.0 * p))
         path = tmp_path / "surrogate.json"
-        surr.save(path)
-        back = TrainedSurrogate.load(path)
-        probe = rng.uniform(-1, 1, size=(40, 2))
-        assert_allclose(
-            back.expected_iterations(probe), surr.expected_iterations(probe), rtol=1e-12
-        )
+        save_surrogate(exp, surr, path)
+        back = load_surrogate(exp, path)
+        probe = np.random.default_rng(15).uniform(-1, 1, size=(40, 2))
+        assert_array_equal(back.expected_iterations(probe), surr.expected_iterations(probe))
         assert back.m_max == surr.m_max
         assert back.evaluated == surr.evaluated
         assert_array_equal(back.gp.prior.profile.corr_lengths, surr.gp.prior.profile.corr_lengths)
 
-    @staticmethod
-    def _document() -> dict:
-        rng = np.random.default_rng(16)
-        pts = ParamSet(ParamBox.symmetric_unit(1), rng.uniform(-1, 1, size=(6, 1)))
-        prior = make_prior(1, b_diag=[1.0], d_diag=[0.0])
-        surr = train_surrogate_core(pts, synthetic_oracle(pts, prior, (0.0, 0.05)), prior)
-        return json.loads(json.dumps(surr.to_json_dict()))
+    def _load_doctored(self, tmp_path, key, value):
+        """``load_surrogate`` on a saved document whose ``key`` is set to ``value``."""
+        exp, surr = self._trained(16, 6, [0.5])
+        path = tmp_path / "surrogate.json"
+        save_surrogate(exp, surr, path)
+        doc = json.loads(path.read_text())
+        if isinstance(doc[key], list):
+            doc[key][-1] = value
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        return load_surrogate(exp, path)
 
     @pytest.mark.parametrize("key", ["tau_pc", "m_max"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    def test_load_rejects_a_non_positive_cost(self, key, value):
-        doc = self._document()
-        doc[key] = value
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            TrainedSurrogate.from_json_dict(doc)
+    def test_load_rejects_a_non_positive_cost(self, tmp_path, key, value):
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}'"):
+            self._load_doctored(tmp_path, key, value)
 
     @pytest.mark.parametrize(
-        "key, last",
-        [("train_alphas", a) for a in (float("nan"), 0.0, 1.0, 1.5, -0.2)]
-        + [("train_deltas", d) for d in ([float("nan")], [0.1, 0.2], None)]
-        + [("ybar", None)],
+        "key, last", [("train_alphas", a) for a in (float("nan"), 0.0, 1.0, 1.5, -0.2)]
     )
-    def test_load_rejects_malformed_training_data(self, key, last):
-        # last None drops the final entry: a delta without its alpha, or a
-        # centre ybar of the wrong dimension
-        doc = self._document()
-        if last is None:
-            doc[key].pop()
-        else:
-            doc[key][-1] = last
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            TrainedSurrogate.from_json_dict(doc)
+    def test_load_rejects_malformed_training_data(self, tmp_path, key, last):
+        # a contraction factor outside (0, 1) has no iteration count
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}'"):
+            self._load_doctored(tmp_path, key, last)
