@@ -116,12 +116,24 @@ CONFIG_SCHEMA = {
     },
 }
 
-# JSON has no NaN or infinities, but Python's json module reads them: the
-# documents the package reads take finite numbers only (x == x fails for NaN)
 _NUMBER = jsonschema.Draft202012Validator.TYPE_CHECKER
-_FINITE = _NUMBER.redefine(
-    "number", lambda _, x: _NUMBER.is_type(x, "number") and x == x and abs(x) != math.inf
-)
+
+
+def _is_finite_number(checker, x) -> bool:
+    """A JSON number that reads as a finite float.
+
+    JSON has no NaN or infinities, but Python's json module reads them; it
+    also reads an integer of 400 digits as an int that no float can hold.
+    """
+    if not _NUMBER.is_type(x, "number"):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_FINITE = _NUMBER.redefine("number", _is_finite_number)
 _Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=_FINITE)
 # built once: jsonschema.validate checks the schema itself on every call
 _VALIDATOR = _Validator(CONFIG_SCHEMA)

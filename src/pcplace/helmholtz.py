@@ -108,10 +108,12 @@ class AnnulusMesh:
 
     The mesh keeps no size of its own (``cfg.h`` is its target).
     Precomputed element geometry (areas, P1 gradients, quadrature points,
-    outer-edge data) is carried along; the first ``assemble`` call caches
-    an ``Assembler`` on the mesh, so repeated assembly over parameter
-    values forms a precomputed combination (``affine``) or evaluates the
-    coefficients and scatters once (``shape``).
+    outer-edge data) is carried along.  The quadrature points are the edge
+    midpoints, and the two triangles of an interior edge hold bitwise
+    equal copies of its midpoint.  The first ``assemble`` call caches an
+    ``Assembler`` on the mesh, so repeated assembly over parameter values
+    forms a precomputed combination (``affine``) or evaluates the
+    coefficients once per edge and scatters once (``shape``).
     """
 
     nodes: np.ndarray
@@ -197,7 +199,9 @@ def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
         # P1 gradients: rotate opposite edges by 90 degrees over twice the area
         np.divide(-(ys[k] - ys[j]), det2, out=grads[:, i, 0])
         np.divide(xs[k] - xs[j], det2, out=grads[:, i, 1])
-        # quadrature node i is the midpoint of edge (i, j)
+        # quadrature node i is the midpoint of edge (i, j); the sum
+        # commutes, so both triangles of an edge get the same bits, which
+        # the shape assembler relies on
         np.multiply(0.5, xs[i] + xs[j], out=quad_points[:, i, 0])
         np.multiply(0.5, ys[i] + ys[j], out=quad_points[:, i, 1])
 
@@ -467,23 +471,45 @@ def _pullback(y: np.ndarray, frame: _PolarFrame):
     c = chi s/r.  Hence det J = (1+a)(1+c) and A = Q M Q^T with
     M = [[(1+c)/(1+a) + b^2/det J, -b/(1+c)], [-b/(1+c), (1+a)/(1+c)]].
     Returns the entries (A_00, A_01, A_11) and det J.
+
+    With M's entries m_rr, m_rt, m_tt, the frame's cc = cos^2, ss = sin^2,
+    cs = cos sin, c2 = cc - ss and twist = 2 m_rt cs, the entries of A are
+    A_00 = m_rr cc - twist + m_tt ss, A_11 = m_rr ss + twist + m_tt cc and
+    A_01 = (m_rr - m_tt) cs + m_rt c2, each summed left to right.  The
+    steps write in place into operands no later step reads: 8 arrays of
+    one value per point instead of 29, which on a large mesh are each a
+    fresh allocation to page in.
     """
     s = frame.modes @ y
-    ja = 1.0 + frame.chi_prime * s
-    jc = 1.0 + frame.chi_r * s
-    b = frame.chi_r * (frame.mode_derivs @ y)
+    ja = frame.chi_prime * s
+    ja += 1.0
+    jc = np.multiply(frame.chi_r, s, out=s)
+    jc += 1.0
+    b = frame.mode_derivs @ y
+    b *= frame.chi_r
     det = ja * jc
     if np.any(det <= 1e-12):
         raise DegenerateMapError(
             f"domain map degenerates (min det {np.min(det):.3e})"
         )
-    m_rr = jc / ja + b * b / det
-    m_rt = -b / jc
-    m_tt = ja / jc
-    twist = 2.0 * m_rt * frame.cs
-    a00 = m_rr * frame.cc - twist + m_tt * frame.ss
-    a11 = m_rr * frame.ss + twist + m_tt * frame.cc
-    a01 = (m_rr - m_tt) * frame.cs + m_rt * frame.c2
+    m_rr = jc / ja
+    t = b * b
+    t /= det
+    m_rr += t
+    m_rt = np.divide(b, jc, out=b)
+    np.negative(m_rt, out=m_rt)
+    m_tt = np.divide(ja, jc, out=ja)
+    twist = np.multiply(m_rt, 2.0, out=t)
+    twist *= frame.cs
+    a00 = m_rr * frame.cc
+    a00 -= twist
+    a11 = m_rr * frame.ss
+    a11 += twist
+    a01 = np.subtract(m_rr, m_tt, out=m_rr)
+    a01 *= frame.cs
+    a00 += np.multiply(m_tt, frame.ss, out=twist)
+    a11 += np.multiply(m_tt, frame.cc, out=twist)
+    a01 += np.multiply(m_rt, frame.c2, out=twist)
     return a00, a01, a11, det
 
 
@@ -496,20 +522,24 @@ def pullback_coefficients(y, points, family: ProblemFamily, cfg: HelmholtzConfig
     """
     if family.kind != "shape":
         raise ValueError("domain map applies to the shape family")
-    a00, a01, a11, det = _pullback(
-        np.asarray(y, dtype=float), _polar_frame(points, family, cfg)
+    pts = np.asarray(points, dtype=float)
+    frame = _polar_frame(pts.reshape(-1, 2), family, cfg)
+    a00, a01, a11, det = (
+        v.reshape(pts.shape[:-1]) for v in _pullback(np.asarray(y, dtype=float), frame)
     )
     a = np.stack([np.stack([a00, a01], -1), np.stack([a01, a11], -1)], -2)
     return a, det
 
 
-# P1 mass contributions of the three quadrature nodes: row q holds
-# phi_q phi_q^T flattened, so _MASS_TEMPLATE.T @ (weight * coefficient)
+# The entries r <= c of a symmetric element matrix, the diagonal first:
+# (0,0), (1,1), (2,2), (0,1), (1,2), (0,2).  Entries 3, 4 and 5 join the
+# vertices of edges 01, 12 and 20, which hold quadrature nodes 0, 1 and 2.
+_ENTRY_ROW = np.array([0, 1, 2, 0, 1, 0])
+_ENTRY_COL = np.array([0, 1, 2, 1, 2, 2])
+# P1 mass contributions of the three quadrature nodes: row q holds those
+# entries of phi_q phi_q^T, so _MASS_TEMPLATE.T @ (weight * coefficient)
 # gives the element mass matrices.
-_MASS_TEMPLATE = np.einsum("qi,qj->qij", _QUAD_PHI, _QUAD_PHI).reshape(3, 9)
-# local row i and column j of element matrix entry k = 3 i + j
-_ENTRY_ROW = np.repeat(np.arange(3), 3)
-_ENTRY_COL = np.tile(np.arange(3), 3)
+_MASS_TEMPLATE = np.einsum("qi,qj->qij", _QUAD_PHI, _QUAD_PHI)[:, _ENTRY_ROW, _ENTRY_COL]
 
 
 def _dirichlet_selection(indptr, indices, nodes, n: int):
@@ -535,19 +565,22 @@ def _dirichlet_selection(indptr, indices, nodes, n: int):
 class Assembler:
     """The scattering system of one (family, mesh, cfg) at any parameter y.
 
-    Everything independent of y is computed once: the CSR pattern with the
-    index scattering the 9 entries of every element into it, the Robin
-    block, the Dirichlet elimination of the scatterer nodes and the
-    incident right-hand side.
+    Everything independent of y is computed once: the CSR pattern, the
+    index scattering the 6 entries r <= c of every element matrix into the
+    pattern's upper triangle and the gather mirroring that triangle onto
+    the whole pattern, the Robin block, the Dirichlet elimination of the
+    scatterer nodes and the incident right-hand side.  The element
+    matrices are symmetric, so the system is symmetric by construction.
 
     An ``affine`` system is affine in y, so its values are scattered once
     too, as d_0 + sum_j y_j d_j: d_0 is the system with refraction
     1 - chi eta_j / 2 in sector j, and d_j holds the -k0^2 mass of
     chi eta_j / 2 in sector j, on that sector's entries only.  A call forms
-    that combination.  A ``shape`` system is nonlinear in y: its mode
-    tables in the polar frame and per-element gradient products are
-    precomputed, and a call evaluates the pull-back coefficients, forms the
-    element matrices and scatters them into the fixed pattern.
+    that combination.  A ``shape`` system is nonlinear in y: the polar
+    frame and mode tables at the mesh edges' midpoints, where the
+    quadrature nodes lie, and the per-element gradient products are
+    precomputed.  A call evaluates the pull-back once per edge, sums it
+    per element, forms the element matrices and scatters them.
     """
 
     def __init__(self, family: ProblemFamily, mesh: AnnulusMesh, cfg: HelmholtzConfig):
@@ -556,32 +589,40 @@ class Assembler:
         self.family = family
         self.cfg = cfg
         # Arrays run over elements along their last axis: quadrature data
-        # is (3, m) and element matrix entries k = 3 i + j are (9, m).
+        # is (3, m) and element matrix entries are (6, m).
         m = mesh.n_triangles
         n = mesh.n_nodes
         self._shape = (n, n)
-        qp = mesh.quad_points.transpose(1, 0, 2).reshape(-1, 2)
         self._weights = mesh.areas / 3.0
 
-        # CSR pattern of the element and Robin entries, in canonical order
-        tri, edges = mesh.triangles.T, mesh.outer_edges
-        rows = np.concatenate(
-            [tri[_ENTRY_ROW].ravel(), np.repeat(edges, 2, axis=1).ravel()]
+        # Upper-triangle keys r * n + c (r <= c) of the element entries,
+        # and the full CSR pattern, in canonical order
+        tri = mesh.triangles.T.astype(np.int64)
+        rows, cols = tri[_ENTRY_ROW], tri[_ENTRY_COL]
+        upper, slot = np.unique(
+            np.minimum(rows, cols) * n + np.maximum(rows, cols), return_inverse=True
         )
-        cols = np.concatenate([tri[_ENTRY_COL].ravel(), np.tile(edges, (1, 2)).ravel()])
-        keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+        self._slot = slot.ravel()
+        upper_rows, upper_cols = np.divmod(upper, n)
+        off_diagonal = upper_rows != upper_cols
+        keys = np.sort(np.concatenate([upper, (upper_cols * n + upper_rows)[off_diagonal]]))
+        key_rows, key_cols = np.divmod(keys, n)
+        self._mirror = np.searchsorted(
+            upper, np.minimum(key_rows, key_cols) * n + np.maximum(key_rows, key_cols)
+        )
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+        pattern = sp.csr_matrix((np.zeros(keys.size), key_cols, indptr), shape=(n, n))
         self._indptr, self._indices = pattern.indptr, pattern.indices
-        self._slot = slot[: 9 * m]
 
         # Robin boundary mass on the outer polygon, exact for P1
+        edges = mesh.outer_edges.astype(np.int64)
+        robin_keys = np.repeat(edges, 2, axis=1) * n + np.tile(edges, (1, 2))
         lengths = np.linalg.norm(
             mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
         )
         block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
         self._robin = 1j * np.bincount(
-            slot[9 * m :],
+            np.searchsorted(keys, robin_keys.ravel()),
             weights=((-cfg.k0 * lengths)[:, None, None] * block).ravel(),
             minlength=keys.size,
         )
@@ -594,12 +635,13 @@ class Assembler:
         self._rhs[mesh.inner_boundary] = 0.0
 
         if family.kind == "affine":
+            qp = mesh.quad_points.transpose(1, 0, 2).reshape(-1, 2)
             sector = _sectors(_angles(qp), family.n_dims).reshape(3, m)
             half = mollifier(qp, cfg).reshape(3, m) * (family.eta / 2.0)[sector]
             stiffness = (
                 np.einsum("tik,tjk->tij", mesh.grads, mesh.grads)
                 * mesh.areas[:, None, None]
-            ).reshape(m, 9).T
+            )[:, _ENTRY_ROW, _ENTRY_COL].T
             self._base = self._robin + self._scatter(stiffness, 1.0 - half)
             self._sector_terms = []
             for j in range(family.n_dims):
@@ -607,7 +649,15 @@ class Assembler:
                 entries = np.flatnonzero(term)
                 self._sector_terms.append((entries, term[entries]))
         else:
-            self._frame = _polar_frame(qp, family, cfg)
+            # Quadrature node q is the midpoint of the edge of entry 3 + q,
+            # and both triangles of an edge hold it bit for bit (see
+            # build_annulus_mesh), so the pull-back runs once per edge and
+            # ``_edge`` (3, m) maps the quadrature nodes to the edges.
+            edge_of_slot = np.cumsum(off_diagonal) - 1
+            self._edge = edge_of_slot[slot.reshape(6, m)[3:]]
+            midpoints = np.empty((np.count_nonzero(off_diagonal), 2))
+            midpoints[self._edge] = mesh.quad_points.transpose(1, 0, 2)
+            self._frame = _polar_frame(midpoints, family, cfg)
             gx, gy = mesh.grads[:, :, 0].T, mesh.grads[:, :, 1].T
 
             def products(u, v):
@@ -624,12 +674,17 @@ class Assembler:
     def _scatter(self, stiffness, refraction) -> np.ndarray:
         """Stiffness - k0^2 mass on the full pattern, without the Robin mass.
 
-        ``stiffness`` holds the element entries (9, m) and ``refraction``
-        the coefficient at the quadrature nodes (3, m).
+        ``stiffness`` holds the element entries (6, m) and ``refraction``
+        the coefficient at the quadrature nodes (3, m), which is weighted in
+        place: callers pass a temporary.  The element entries sum into the
+        upper triangle, which is then mirrored.  The products are formed in
+        place, since each fresh (6, m) array is a large allocation.
         """
-        mass = _MASS_TEMPLATE.T @ (self._weights * refraction)
-        values = stiffness - self.cfg.k0**2 * mass
-        return np.bincount(self._slot, weights=values.ravel(), minlength=self._robin.size)
+        refraction *= self._weights
+        values = _MASS_TEMPLATE.T @ refraction
+        values *= self.cfg.k0**2
+        np.subtract(stiffness, values, out=values)
+        return np.bincount(self._slot, weights=values.ravel())[self._mirror]
 
     def _data(self, y) -> np.ndarray:
         """Values on the full pattern: stiffness - k0^2 mass - i k0 Robin mass."""
@@ -641,18 +696,15 @@ class Assembler:
             for y_j, (entries, values) in zip(y, self._sector_terms):
                 data[entries] += y_j * values
             return data
-        return self._robin + self._scatter(*self._element_data(y))
-
-    def _element_data(self, y: np.ndarray):
-        """Element stiffness entries (9, m) and refraction at the nodes (3, m) of ``shape``."""
         a00, a01, a11, det = _pullback(y, self._frame)
         xx, xy, yy = self._grad_products
+        edge = self._edge
         stiffness = (
-            a00.reshape(3, -1).sum(axis=0) * xx
-            + a01.reshape(3, -1).sum(axis=0) * xy
-            + a11.reshape(3, -1).sum(axis=0) * yy
+            a00[edge].sum(axis=0) * xx
+            + a01[edge].sum(axis=0) * xy
+            + a11[edge].sum(axis=0) * yy
         )
-        return stiffness, det.reshape(3, -1)
+        return self._robin + self._scatter(stiffness, det[edge])
 
     def operator(self, y) -> sp.csr_matrix:
         """The system before the Dirichlet elimination."""

@@ -239,7 +239,11 @@ class TestConfig:
         assert (given["seed"], given["cost_mode"], given["c_iter"]) == (7, "synthetic", 2e-6)
         assert overridden == {**given, "seed": 3, "cost_mode": "measured"}
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    # 10**400 is an integer literal too large for a float
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["nan", "inf", "-inf", "10**400"],
+    )
     @pytest.mark.parametrize("keys", list(number_keys(CONFIG_SCHEMA)), ids="-".join)
     def test_non_finite_numbers_fail_before_the_output_directory(
         self, tmp_path, capsys, keys, value
@@ -811,10 +815,11 @@ class TestCli:
             ("train_alphas", lambda doc: doc["train_alphas"][:-1]),
             ("m_max", lambda doc: float("nan")),
             ("tau_pc", lambda doc: float("nan")),
+            ("m_max", lambda doc: 10**400),
             ("format_version", lambda doc: 1),
         ],
         ids=["evaluated-99", "evaluated-repeated", "alphas-short", "m_max-nan", "tau_pc-nan",
-             "version-1"],
+             "m_max-10**400", "version-1"],
     )
     def test_place_rejects_a_doctored_surrogate(self, tmp_path, capsys, key, change):
         # 99 names a target the 8-target config lacks; a surrogate of an

@@ -179,6 +179,24 @@ class TestMesh:
         area = n_theta / 2 * np.sin(2 * np.pi / n_theta) * (cfg.r_out**2 - cfg.r_in**2)
         assert abs(mesh.areas.sum() - area) <= 1e-12 * area
 
+    @pytest.mark.parametrize("k0, mesh_size", [(5.0, 0.2), (20.0, None)])
+    def test_the_triangles_of_an_edge_share_its_midpoint_bitwise(self, k0, mesh_size):
+        # the shape assembler evaluates the pull-back once per edge, on the
+        # quadrature node of either triangle; node i is the midpoint of
+        # edge (i, i + 1 mod 3)
+        mesh = build_annulus_mesh(HelmholtzConfig(k0=k0, mesh_size=mesh_size))
+        tri = mesh.triangles
+        ends = np.stack([tri, np.roll(tri, -1, axis=1)])
+        keys = (ends.min(axis=0) * mesh.n_nodes + ends.max(axis=0)).ravel()
+        points = mesh.quad_points.reshape(-1, 2)
+        order = np.argsort(keys, kind="stable")
+        keys, points = keys[order], points[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        group = np.cumsum(np.r_[True, keys[1:] != keys[:-1]]) - 1
+        assert np.array_equal(points.view(np.uint64), points[first[group]].view(np.uint64))
+        # Euler's formula on the annulus: V - E + F = 0
+        assert first.size == mesh.n_nodes + mesh.n_triangles
+
     def test_export(self, tmp_path):
         mesh = build_annulus_mesh(HelmholtzConfig(k0=5.0))
         path = tmp_path / "mesh.txt"
@@ -552,13 +570,18 @@ class TestAssembly:
         assert abs(total - area) <= 2.0 * cfg.h**2
 
     def test_system_complex_symmetric(self):
+        # exactly: the upper triangle is scattered once and mirrored
         cfg = HelmholtzConfig(k0=6.0)
         mesh = build_annulus_mesh(cfg)
-        fam = affine_family([0.25, 0.25], cfg)
-        a, _ = assemble(np.array([0.3, -0.4]), fam, mesh, cfg)
-        asym = abs(a - a.T)
-        assert asym.max() <= 1e-12
-        assert np.abs(a.diagonal().imag).max() > 0  # Robin term present
+        families = [
+            affine_family([0.25, 0.25], cfg),
+            shape_family(2, 0.5 * max_safe_amplitude(2.0), 2.0, cfg),
+        ]
+        for fam in families:
+            y = np.array([0.3, -0.4])
+            for a in (assemble(y, fam, mesh, cfg)[0], assemble_operator(y, fam, mesh, cfg)):
+                assert (a != a.T).nnz == 0
+                assert np.abs(a.diagonal().imag).max() > 0  # Robin term present
 
     def test_dirichlet_rows_eliminated(self):
         cfg = HelmholtzConfig(k0=6.0)
