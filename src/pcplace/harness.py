@@ -37,9 +37,9 @@ from .param_space import ParamBox, ParamSet
 from .placement import PlacementPlan, plan_placement
 from .surrogate import (
     FemSolveOracle,
-    GpState,
     IterationMap,
     TrainedSurrogate,
+    _origin_pinned_gp,
     _running_total,
     train_surrogate_core,
 )
@@ -133,7 +133,9 @@ def _is_finite_number(checker, x) -> bool:
         return False
 
 
-_FINITE = _NUMBER.redefine("number", _is_finite_number)
+_FINITE = _NUMBER.redefine("number", _is_finite_number).redefine(
+    "integer", lambda checker, x: _NUMBER.is_type(x, "integer") and -(2**63) <= x < 2**63
+)  # an integer must fit the signed 64 bits that numpy sizes and seeds take
 _Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=_FINITE)
 # built once: jsonschema.validate checks the schema itself on every call
 _VALIDATOR = _Validator(CONFIG_SCHEMA)
@@ -374,13 +376,7 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def _running_rmse(trace) -> list[float]:
@@ -470,8 +466,7 @@ def load_surrogate(exp: ExperimentConfig, path) -> TrainedSurrogate:
     if max(evaluated) >= len(targets):
         raise ValueError(f"surrogate's 'evaluated' exceeds the config's {len(targets)} targets")
     iter_map, ybar = IterationMap(exp.tol), targets.box.center
-    gp = GpState(exp.build_family(exp.helmholtz_config()).prior)
-    gp.add_pair(np.zeros(exp.n_dims), iter_map.alpha_from_iters(1.0))  # training's origin pin
+    gp = _origin_pinned_gp(exp.build_family(exp.helmholtz_config()).prior, iter_map)
     for index, alpha in zip(evaluated, alphas):
         gp.add_pair(targets.points[index] - ybar, alpha)
     return TrainedSurrogate(
@@ -554,6 +549,7 @@ def _report(
         n_pc=n_pc,
         it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
         cost_total=n_ratio * n_pc + float(sum(r.iterations for _, r in solves)),
+        cost_per_point=n_ratio * len(targets) + float(len(targets)),  # 1 build, 1 iteration each
         degraded=not all(r.converged and r.error is None for r in log),
         per_point=sorted(per_point, key=lambda rec: rec["index"]),
         **values,
@@ -583,25 +579,15 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     plan = place(exp, surrogate, remaining)
     t_l_al = policy.stage_cost(0.0, time.perf_counter() - la_start)
 
-    # execution: build the planned preconditioners, solve every remaining
-    # target with its assigned one; a cell whose build failed is solved
-    # with the reference preconditioner
-    index_to_position = {int(idx): pos for pos, idx in enumerate(targets.indices)}
-    for k in range(plan.n_pc):
-        pc, error = oracle.reference_pc, None
-        if not plan.fixed_mask[k]:
-            pc = oracle.build(plan.pc_locations[k])
-            if pc is None:
-                pc, error = oracle.reference_pc, oracle.log[-1].error
-        for pos in np.flatnonzero(plan.assignment == k):
-            oracle.run(index_to_position[int(plan.point_indices[pos])], pc, int(k), error)
+    # the targets' stable indices are their rows, so the plan's are positions
+    oracle.execute(plan.pc_locations, plan.fixed_mask, plan.assignment, plan.point_indices,
+                   range(plan.n_pc))
 
-    # baseline estimates: the per-point cost assumes one iteration per
-    # target (exact LU); the mean-based cost uses measured counts where
-    # available and the surrogate elsewhere
+    # the mean-based estimate takes measured counts where available; the
+    # planner's first greedy cost is the surrogate's sum over the rest
     est = float(sum(r.iterations for r in training if r.position is not None))
     if len(remaining):
-        est += float(np.sum(surrogate.expected_iterations(remaining.points - surrogate.ybar)))
+        est += plan.greedy_cost_trace[0]
 
     report = _report(
         exp, "pipeline", oracle, n_train, n_ratio,
@@ -609,7 +595,6 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         t_l_al=t_l_al,
         t_exec=_running_total(r.cost for r in oracle.log[n_train:]),
         cost_mean_based=n_ratio * 1 + est,
-        cost_per_point=n_ratio * len(targets) + float(len(targets)),
         cost_mean_based_estimated=True,
         m_max=surrogate.m_max,
         pc_locations=plan.pc_locations.tolist(),
@@ -630,17 +615,15 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     oracle = _oracle(exp)
     targets = oracle.points
     oracle.build_reference()
-    for pos in range(len(targets)):
-        oracle.run(pos, oracle.reference_pc, "mean")
+    n = len(targets)
+    oracle.execute([targets.box.center], [True], np.zeros(n, dtype=int), range(n), ["mean"])
 
-    n_ratio = oracle.n_ratio()
     build, *solves = oracle.log
     report = _report(
-        exp, "mean_based", oracle, 0, n_ratio,
+        exp, "mean_based", oracle, 0, oracle.n_ratio(),
         t_train=0.0,
         t_l_al=0.0,
         t_exec=build.cost + _running_total(r.cost for r in solves),
-        cost_per_point=n_ratio * len(targets) + float(len(targets)),
         pc_locations=[targets.box.center.tolist()],
         pc_fixed_mask=[True],
         wall_seconds=time.perf_counter() - wall_start,
@@ -655,13 +638,9 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
     oracle = _oracle(exp)
     targets = oracle.points
     # one target at a time, build then solve: the order fixes t_exec's sum;
-    # a target whose build failed is logged as a failed solve
-    for pos, y in enumerate(targets.points):
-        pc = oracle.build(y)
-        if pc is None:
-            oracle.fail(pos, pos, oracle.log[-1].error)
-        else:
-            oracle.run(pos, pc, pos)
+    # with no reference preconditioner, a failed build fails its target
+    n = len(targets)
+    oracle.execute(targets.points, np.zeros(n, dtype=bool), np.arange(n), range(n), range(n))
 
     report = _report(
         exp, "per_point", oracle, 0, oracle.n_ratio(),

@@ -432,6 +432,16 @@ class TrainedSurrogate:
         return np.where(e_g <= self.m_max, v_g / e_g, -np.inf)
 
 
+def _origin_pinned_gp(prior: SurrogatePrior, iter_map: IterationMap) -> GpState:
+    """The GP training starts from: the origin pin, zero shift at one iteration.
+
+    The kernel vanishes at the origin, so the pin is inert but keeps m(0) = 1.
+    """
+    gp = GpState(prior)
+    gp.add_pair(np.zeros(prior.dims), iter_map.alpha_from_iters(1.0))
+    return gp
+
+
 def train_surrogate_core(
     points: ParamSet,
     oracle,
@@ -458,12 +468,7 @@ def train_surrogate_core(
     ybar = points.box.center
     deltas_all = points.points - ybar
 
-    gp = GpState(prior, coeffs=(1.0, 1.0))
-    # Origin pin: zero shift costs exactly one iteration.  The kernel
-    # vanishes at the origin so this pair is inert but keeps the training
-    # set honest about m(0) = 1.
-    gp.add_pair(np.zeros(points.box.dims), iter_map.alpha_from_iters(1.0))
-
+    gp = _origin_pinned_gp(prior, iter_map)
     tau_pc = float(oracle.build_reference())
     evaluated_pos: list[int] = []
     solutions = {}
@@ -493,11 +498,10 @@ def train_surrogate_core(
     prev_m = surrogate.expected_iterations(deltas_all)
     trace: list[tuple[int, float, float]] = []
 
-    budget_exhausted = False
     while True:
         remaining = np.setdiff1d(np.arange(len(points)), evaluated_pos)
         if remaining.size == 0:
-            budget_exhausted = True
+            surrogate.budget_exhausted = True
             break
         scores = surrogate.acquisition(deltas_all[remaining])
         if not np.any(np.isfinite(scores)):
@@ -519,7 +523,6 @@ def train_surrogate_core(
             break
 
     surrogate.evaluated = [int(points.indices[p]) for p in evaluated_pos]
-    surrogate.budget_exhausted = budget_exhausted
     surrogate.sp_history = tracker.history
     surrogate.prediction_trace = trace
     surrogate.solutions = solutions
@@ -553,13 +556,12 @@ class FemSolveOracle:
 
     It carries the experiment's problem: the target set, the family, its
     mesh and solver config, and the cost policy that prices each build and
-    solve.  ``build`` factors the operator at a parameter point and ``run``
-    solves one target with a given preconditioner; each call appends one
-    ``LogRecord`` to ``log``, in call order.  A build whose assembly or
+    solve.  ``build_reference`` and ``solve`` are the training oracle, and
+    ``execute`` runs a strategy's plan; each build and each solve appends
+    one ``LogRecord`` to ``log``, in call order.  A build whose assembly or
     factorization raises, or a solve whose assembly or GMRES raises, is
-    logged as unconverged, with its error, at no cost, and the run goes on.
-    ``build_reference`` and ``solve`` are the training oracle on top of
-    them; a failed training build or solve raises its error.
+    logged as unconverged, with its error, at no cost, and the run goes on;
+    a failed training build or solve raises its error.
     """
 
     def __init__(self, points: ParamSet, family, mesh, cfg, cost_policy):
@@ -571,7 +573,27 @@ class FemSolveOracle:
         self.reference_pc = None
         self.log: list[LogRecord] = []
 
-    def build(self, y):
+    def execute(self, locations, fixed_mask, assignment, positions, labels) -> None:
+        """Per location in order, build its preconditioner and solve its targets.
+
+        A fixed location stands for the reference preconditioner.  Rows go in
+        order: row ``i`` solves the target at ``positions[i]`` with location
+        ``assignment[i]``, logged under that location's ``labels`` entry.  A
+        failed build's targets are solved with the reference preconditioner,
+        carrying the build's error; without one they are logged as failed.
+        """
+        for k, location in enumerate(locations):
+            pc, error = self.reference_pc, None
+            if not fixed_mask[k] and (pc := self._build(location)) is None:
+                pc, error = self.reference_pc, self.log[-1].error
+            for row in np.flatnonzero(assignment == k):
+                position = int(positions[row])
+                if pc is None:
+                    self.log.append(LogRecord(position, labels[k], 0, False, 0.0, error))
+                else:
+                    self._run(position, pc, labels[k], error)
+
+    def _build(self, y):
         """Factor the operator at ``y`` into a preconditioner.
 
         The period is the mesh's ring length, so an operator that is
@@ -587,7 +609,7 @@ class FemSolveOracle:
         self.log.append(LogRecord(None, None, 0, True, self.policy.build_cost(pc)))
         return pc
 
-    def run(self, position: int, pc, label, error=None):
+    def _run(self, position: int, pc, label, error=None):
         """Solve the target at ``position`` with ``pc``, logged under ``label``.
 
         ``error`` is that of a failed build this solve stands in for: the
@@ -599,7 +621,7 @@ class FemSolveOracle:
             matrix, rhs = helmholtz.assemble(y, self.family, self.mesh, self.cfg)
             report = gmres_left(pc, matrix, rhs, tol=self.cfg.tol, max_iter=self.cfg.max_iter)
         except (helmholtz.DegenerateMapError, BreakdownError) as exc:
-            self.fail(position, label, exc)
+            self.log.append(LogRecord(position, label, 0, False, 0.0, exc))
             return None
         cost = self.policy.solve_cost(pc, report)
         self.log.append(
@@ -607,20 +629,16 @@ class FemSolveOracle:
         )
         return report
 
-    def fail(self, position: int, label, error):
-        """Log the target at ``position`` as unsolved, with ``error``, at no cost."""
-        self.log.append(LogRecord(position, label, 0, False, 0.0, error))
-
     def build_reference(self) -> float:
         """Build the training preconditioner at the box center; return its cost."""
-        self.reference_pc = self.build(self.points.box.center)
+        self.reference_pc = self._build(self.points.box.center)
         if self.reference_pc is None:
             raise self.log[-1].error
         return self.log[-1].cost
 
     def solve(self, position: int):
         """Training solve with the reference preconditioner."""
-        report = self.run(position, self.reference_pc, "mean")
+        report = self._run(position, self.reference_pc, "mean")
         if report is None:
             raise self.log[-1].error
         return report.iterations, report.solution

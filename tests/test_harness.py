@@ -65,13 +65,26 @@ def oracles(monkeypatch):
     return made
 
 
-def number_keys(schema, path=()):
-    """Each number-typed key of ``schema`` (an array's, for its items), as a key path."""
+def typed_keys(schema, kind, path=()):
+    """Each ``kind``-typed key of ``schema`` (an array's, for its items), as a key path."""
     for key, sub in schema.get("properties", {}).items():
         for types in (sub.get("type", ()), sub.get("items", {}).get("type", ())):
-            if "number" in ([types] if isinstance(types, str) else types):
+            if kind in ([types] if isinstance(types, str) else types):
                 yield (*path, key)
-        yield from number_keys(sub, (*path, key))
+        yield from typed_keys(sub, kind, (*path, key))
+
+
+def _set_key(keys, value):
+    """A minimal valid config document with ``value`` at the key path ``keys``."""
+    doc = {"family": {"kind": "affine", "eta": [0.5]}, "k0": 5.0, "n_points": 3}
+    if keys[-1] in ("amplitude", "decay", "n_dims"):
+        doc["family"] = {"kind": "shape", "n_dims": 1, "amplitude": 0.1, "decay": 2.0}
+    *sections, key = keys
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = [value] if key == "eta" else value
+    return doc
 
 
 class TestConfig:
@@ -244,25 +257,37 @@ class TestConfig:
         "value", [float("nan"), float("inf"), -float("inf"), 10**400],
         ids=["nan", "inf", "-inf", "10**400"],
     )
-    @pytest.mark.parametrize("keys", list(number_keys(CONFIG_SCHEMA)), ids="-".join)
+    @pytest.mark.parametrize("keys", list(typed_keys(CONFIG_SCHEMA, "number")), ids="-".join)
     def test_non_finite_numbers_fail_before_the_output_directory(
         self, tmp_path, capsys, keys, value
     ):
-        doc = {"family": {"kind": "affine", "eta": [0.5]}, "k0": 5.0, "n_points": 3}
-        if keys[-1] in ("amplitude", "decay"):
-            doc["family"] = {"kind": "shape", "n_dims": 1, "amplitude": 0.1, "decay": 2.0}
-        *sections, key = keys
-        node = doc
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[key] = [value] if key == "eta" else value
+        self._fails_before_the_output_directory(tmp_path, capsys, keys, value)
+
+    # numpy takes sizes and seeds as signed 64-bit integers
+    @pytest.mark.parametrize("value", [10**400, 2**63], ids=["10**400", "2**63"])
+    @pytest.mark.parametrize("keys", list(typed_keys(CONFIG_SCHEMA, "integer")), ids="-".join)
+    def test_integers_beyond_64_bits_fail_before_the_output_directory(
+        self, tmp_path, capsys, keys, value
+    ):
+        err = self._fails_before_the_output_directory(tmp_path, capsys, keys, value)
+        assert "is not of type 'integer'" in err
+
+    def test_integers_of_64_bits_pass(self):
+        assert ExperimentConfig.from_dict(_set_key(("seed",), 2**63 - 1)).seed == 2**63 - 1
+
+    @staticmethod
+    def _fails_before_the_output_directory(tmp_path, capsys, keys, value):
+        """``from_dict`` and ``pcplace run`` reject ``value`` at ``keys``, naming the key."""
+        doc, key = _set_key(keys, value), keys[-1]
         with pytest.raises(jsonschema.ValidationError, match=f"'{key}'"):
             ExperimentConfig.from_dict(doc)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
         assert cli_main(["run", "--config", str(path)]) == 1
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
         assert not (tmp_path / "out").exists()
+        return err
 
 
 class TestSampling:
@@ -613,6 +638,37 @@ class TestLedger:
         assert sum(r.iterations for r in solves) == sum(iterations)
 
 
+class TestLedgerOrder:
+    """Each strategy's log order, which fixes its summed costs bit for bit."""
+
+    EXP = ExperimentConfig.from_dict(GOLDEN_CONFIGS["golden_affine"])
+    BUILD = (None, None)
+
+    @staticmethod
+    def _order(oracle):
+        return [(r.position, r.pc) for r in oracle.log]
+
+    def test_pipeline_builds_each_pc_then_solves_its_targets(self, oracles):
+        _, surrogate, plan = run_pipeline(self.EXP)
+        training = [self.BUILD] + [(i, "mean") for i in surrogate.evaluated]
+        execution = []
+        for k in range(plan.n_pc):
+            execution += [] if plan.fixed_mask[k] else [self.BUILD]
+            execution += [(int(i), k) for i in plan.point_indices[plan.assignment == k]]
+        assert plan.fixed_mask.tolist().count(False) > 0  # premise: placed PCs are built
+        assert self._order(*oracles) == training + execution
+
+    def test_mean_based_builds_once_then_solves_in_row_order(self, oracles):
+        baseline_mean_based(self.EXP)
+        n = len(sample_parameter_set(self.EXP))
+        assert self._order(*oracles) == [self.BUILD] + [(i, "mean") for i in range(n)]
+
+    def test_per_point_alternates_build_and_solve(self, oracles):
+        baseline_per_point(self.EXP)
+        n = len(sample_parameter_set(self.EXP))
+        assert self._order(*oracles) == [rec for i in range(n) for rec in (self.BUILD, (i, i))]
+
+
 def _lu_failing_on(call):
     """An ``lu_factor`` whose ``call``-th call (1-based) raises."""
     calls = []
@@ -827,6 +883,14 @@ class TestCli:
         doctor = lambda doc: doc.update({key: change(doc)})  # noqa: E731
         err = self._place_doctored(tmp_path, capsys, key, doctor)
         assert key != "format_version" or "retrain" in err
+
+    def test_place_rejects_an_evaluated_index_beyond_64_bits(self, tmp_path, capsys):
+        # the schema rejects it, before any index is compared with the targets
+        def doctor(doc):
+            doc["evaluated"][-1] = 10**400
+
+        err = self._place_doctored(tmp_path, capsys, "evaluated", doctor)
+        assert "is not of type 'integer'" in err
 
     def test_place_rejects_a_surrogate_trained_on_another_config(self, tmp_path, capsys):
         trained = self._config_file(
