@@ -62,6 +62,10 @@ __all__ = [
     "load_report",
 ]
 
+# Placement tabulates m for every target against every preconditioner, and
+# with cheap enough builds every target gets its own: N^2 doubles, 800 MB here.
+_MAX_POINTS = 10_000
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -85,7 +89,7 @@ CONFIG_SCHEMA = {
             },
         },
         "k0": {"type": "number", "exclusiveMinimum": 0},
-        "n_points": {"type": "integer", "minimum": 1},
+        "n_points": {"type": "integer", "minimum": 1, "maximum": _MAX_POINTS},
         "sampling": {"enum": ["uniform", "halton", "grid"]},
         "seed": {"type": "integer", "minimum": 0},
         "tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},

@@ -3,11 +3,12 @@
 The solver stack is deliberately small: direct factorizations wrapped as
 preconditioners, and a full, non-restarted left-preconditioned GMRES whose
 iteration count and preconditioned residual history are the quantities the
-rest of the package reasons about; its storage grows with the steps it
-takes.  A matrix that commutes with a cyclic shift inside blocks of a given
-period and couples neighbouring blocks only (an operator on a rotation-
-invariant polar mesh) is factored in the angular Fourier basis: one
-tridiagonal band per mode, LAPACK ``zgttrf``.  Every other matrix goes to
+rest of the package reasons about.  Its Krylov basis is the rows of one
+array that grows with the steps it takes, and each step orthogonalizes by
+classical Gram-Schmidt twice (CGS2), two matrix-vector products per pass.  A matrix that commutes with a cyclic shift inside blocks of a
+given period and couples neighbouring blocks only (an operator on a
+rotation-invariant polar mesh) is factored in the angular Fourier basis:
+one tridiagonal band per mode, LAPACK ``zgttrf``.  Every other matrix goes to
 SuperLU in symmetric mode (minimum degree on A + A^T, diagonal pivots
 preferred).  Iteration counts feed the surrogate; ``CostPolicy`` prices
 builds and solves from their nnz or their timings.
@@ -15,6 +16,7 @@ builds and solves from their nnz or their timings.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +53,10 @@ _RELAX = 1
 # ``_PROBE_TOL`` relative residual.
 _INVARIANCE_TOL = 1e-12
 _PROBE_TOL = 1e-10
+
+# Rows of the Krylov basis allocated before the first step; the capacity
+# doubles whenever a step fills it.
+_BASIS_ROWS = 16
 
 
 class SingularMatrixError(ValueError):
@@ -244,7 +250,7 @@ def _givens(f: complex, g: float) -> tuple[float, complex]:
     """Rotation (c real, s complex) zeroing g against f; g is real here."""
     if f == 0:
         return 0.0, 1.0 + 0.0j
-    r = np.hypot(abs(f), g)
+    r = math.hypot(abs(f), g)
     c = abs(f) / r
     s = (f / abs(f)) * (g / r)
     return c, s
@@ -264,13 +270,18 @@ def gmres_left(
     ``tol``.  The residual history holds the relative residuals from the
     rotation recursion, entry 0 being 1.0, so the iteration count equals
     ``len(history) - 1``.  Hitting ``max_iter`` returns an unconverged
-    report; a vanishing Arnoldi norm with a large residual raises
-    :class:`BreakdownError`.  ``pc`` provides ``apply`` and ``apply_rhs``
-    (P b, which may be cached and is never written to).
+    report; a vanishing Arnoldi norm with a large residual, or a
+    non-finite |P b| or Arnoldi norm, raises :class:`BreakdownError`.
+    ``pc`` provides ``apply`` and ``apply_rhs`` (P b, which may be cached
+    and is never written to).
 
-    The Krylov basis, the rotated Hessenberg columns, the Givens rotations
-    and the rotated right-hand side g are lists that grow by one entry per
-    step, so memory follows the steps taken, not ``max_iter`` (up to n).
+    The Krylov basis is the rows of one C-contiguous array whose capacity
+    doubles when a step fills it, so memory follows the steps taken, not
+    ``max_iter`` (up to n).  Each step orthogonalizes by classical
+    Gram-Schmidt twice (CGS2): two passes of two matrix-vector products
+    that update the output of ``pc.apply`` in place.  The Hessenberg
+    columns, the Givens rotations and the rotated right-hand side g are
+    Python scalars.
     """
     a = as_complex_csr(matrix)
     b = np.asarray(rhs, dtype=np.complex128)
@@ -286,6 +297,8 @@ def gmres_left(
     start = time.perf_counter()
     pb = pc.apply_rhs(b)
     beta = float(np.linalg.norm(pb))
+    if not math.isfinite(beta):
+        raise BreakdownError(f"non-finite norm {beta} of P b at step 0")
     if beta == 0.0:
         return SolveReport(
             solution=np.zeros(n, dtype=np.complex128),
@@ -296,50 +309,62 @@ def gmres_left(
             true_relative_residual=0.0,
         )
 
-    basis = [pb / beta]
+    basis = np.empty((min(max_iter + 1, _BASIS_ROWS), n), dtype=np.complex128)
+    np.divide(pb, beta, out=basis[0])
     cols = []  # column j of the rotated Hessenberg matrix, rows 0..j
     cos, sin = [], []
-    g = [np.complex128(beta)]
+    g = [complex(beta)]
     history = [1.0]
 
     steps = 0
     breakdown = False
     for j in range(max_iter):
         w = pc.apply(a @ basis[j])
-        col = np.zeros(j + 1, dtype=np.complex128)
-        # Modified Gram-Schmidt with one unconditional re-pass: the
-        # preconditioned operators here cluster near the identity and a
-        # second sweep keeps the recursion residual trustworthy.
-        for _ in range(2):
-            for i in range(j + 1):
-                h = np.vdot(basis[i], w)
-                col[i] += h
-                w -= h * basis[i]
+        # Classical Gram-Schmidt with one unconditional re-pass ("twice is
+        # enough"): the preconditioned operators here cluster near the
+        # identity and a second pass keeps the recursion residual
+        # trustworthy.  A pass is h = V^H w, then w -= V h, as two numpy
+        # matrix-vector products on the basis rows; conj(V @ conj(w))
+        # copies one vector, where V.conj() @ w would copy V.  (SciPy's
+        # zgemv runs a second OpenBLAS thread pool beside numpy's: with
+        # two BLAS threads it made criterion 9's mean-based run 3-6x slower.)
+        v = basis[: j + 1]
+        h = np.conj(v @ np.conj(w))
+        w -= h @ v
+        h2 = np.conj(v @ np.conj(w))
+        w -= h2 @ v
+        col = (h + h2).tolist()
         wnorm = float(np.linalg.norm(w))
+        if not math.isfinite(wnorm):
+            raise BreakdownError(f"non-finite Arnoldi norm {wnorm} at step {j + 1}")
 
         # Apply accumulated rotations to the new column, then a fresh one
         # that zeroes its subdiagonal entry wnorm.
         for i in range(j):
             hi, hi1 = col[i], col[i + 1]
             col[i] = cos[i] * hi + sin[i] * hi1
-            col[i + 1] = -np.conj(sin[i]) * hi + cos[i] * hi1
+            col[i + 1] = -sin[i].conjugate() * hi + cos[i] * hi1
         c, s = _givens(col[j], wnorm)
         cos.append(c)
         sin.append(s)
         col[j] = c * col[j] + s * wnorm
         cols.append(col)
-        g.append(-np.conj(s) * g[j])
+        g.append(-s.conjugate() * g[j])
         g[j] = c * g[j]
 
         steps = j + 1
         rel = abs(g[j + 1]) / beta
-        history.append(float(rel))
+        history.append(rel)
         if rel <= tol:
             break
         if wnorm <= 1e-14 * beta:
             breakdown = True
             break
-        basis.append(w / wnorm)
+        if steps == len(basis):
+            grown = np.empty((min(2 * steps, max_iter + 1), n), dtype=np.complex128)
+            grown[:steps] = basis
+            basis = grown
+        np.divide(w, wnorm, out=basis[steps])
 
     converged = history[-1] <= tol
     if breakdown and not converged:
@@ -349,13 +374,10 @@ def gmres_left(
         )
 
     # Back-substitute the small triangular system for the minimizer.
-    r = np.zeros((steps, steps), dtype=np.complex128)
-    for j, col in enumerate(cols):
-        r[: j + 1, j] = col
-    y = np.zeros(steps, dtype=np.complex128)
+    y = [0j] * steps
     for i in range(steps - 1, -1, -1):
-        y[i] = (g[i] - r[i, i + 1 :] @ y[i + 1 :]) / r[i, i]
-    x = np.vstack(basis)[:steps].T @ y
+        y[i] = (g[i] - sum(cols[k][i] * y[k] for k in range(i + 1, steps))) / cols[i][i]
+    x = np.array(y, dtype=np.complex128) @ basis[:steps]
     elapsed = time.perf_counter() - start
 
     residual = b - a @ x

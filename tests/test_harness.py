@@ -275,6 +275,18 @@ class TestConfig:
     def test_integers_of_64_bits_pass(self):
         assert ExperimentConfig.from_dict(_set_key(("seed",), 2**63 - 1)).seed == 2**63 - 1
 
+    # a count no memory holds must fail validation, not inside numpy
+    @pytest.mark.parametrize("excess", [1, 2**62], ids=["1", "2**62"])
+    def test_n_points_past_its_maximum_fails_before_the_output_directory(
+        self, tmp_path, capsys, excess
+    ):
+        cap = CONFIG_SCHEMA["properties"]["n_points"]["maximum"]
+        assert ExperimentConfig.from_dict(_set_key(("n_points",), cap)).n_points == cap
+        err = self._fails_before_the_output_directory(
+            tmp_path, capsys, ("n_points",), cap + excess
+        )
+        assert f"is greater than the maximum of {cap}" in err
+
     @staticmethod
     def _fails_before_the_output_directory(tmp_path, capsys, keys, value):
         """``from_dict`` and ``pcplace run`` reject ``value`` at ``keys``, naming the key."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,8 +28,8 @@ def random_sparse_complex(rng, n, density=0.4):
     return sp.csr_matrix(a)
 
 
-def _operator(kind, k0, y=None):
-    """The family's operator at ``y`` (its box centre by default) and its mesh."""
+def _system(kind, k0, y=None):
+    """The family's system (A, b) at ``y`` (its box centre by default) and its mesh."""
     from pcplace.helmholtz import (
         HelmholtzConfig,
         affine_family,
@@ -44,7 +46,13 @@ def _operator(kind, k0, y=None):
     else:
         family = affine_family({"equal-eta": [0.5, 0.5, 0.5], "unequal-eta": [0.8, 0.5]}[kind], cfg)
     y = np.zeros(family.n_dims) if y is None else y
-    return assemble(y, family, mesh, cfg)[0], mesh
+    return assemble(y, family, mesh, cfg), mesh
+
+
+def _operator(kind, k0, y=None):
+    """The family's operator at ``y`` (its box centre by default) and its mesh."""
+    (a, _), mesh = _system(kind, k0, y)
+    return a, mesh
 
 
 class TestLuFactor:
@@ -342,6 +350,121 @@ class TestGmresLeft:
         )
         assert pre_rel <= 1e-5
         assert rep.true_relative_residual <= 1e-4
+
+    def test_non_finite_rhs_raises_at_step_0(self):
+        a = sp.eye(3000, format="csr")
+        pc = CountingApplies(lu_factor(a))
+        b = np.ones(3000, dtype=complex)
+        b[7] = np.nan
+        with pytest.raises(BreakdownError, match="at step 0"):
+            gmres_left(pc, a, b, tol=1e-5)
+        assert pc.applies == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_apply_raises_at_its_step(self):
+        # spread eigenvalues take dozens of steps; the third apply returns inf
+        n = 3000
+        a = sp.diags(np.linspace(1.0, 200.0, n) * np.exp(0.3j)).tocsr()
+        pc = CountingApplies(lu_factor(sp.eye(n, format="csr")), poison_at=3)
+        with pytest.raises(BreakdownError, match="at step 3"):
+            gmres_left(pc, a, np.ones(n, dtype=complex), tol=1e-10)
+        assert pc.applies == 3
+
+    def test_memory_follows_the_steps_taken(self):
+        # max_iter = n would size a 6.4 GB basis; the solve takes a few dozen
+        # steps, and its peak allocation stays a few bases of that many rows
+        n = 20_000
+        a = sp.diags(np.linspace(1.0, 10.0, n) * np.exp(0.3j)).tocsr()
+        pc = lu_factor(sp.eye(n, format="csr"))
+        b = np.ones(n, dtype=complex)
+        pc.apply_rhs(b)
+        tracemalloc.start()
+        try:
+            rep = gmres_left(pc, a, b, tol=1e-10, max_iter=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and 20 < rep.iterations < 100
+        assert peak <= 4 * (rep.iterations + 1) * n * 16
+
+
+class CountingApplies:
+    """A preconditioner that counts its applies; apply ``poison_at`` returns inf."""
+
+    def __init__(self, pc, poison_at=None):
+        self.pc, self.poison_at, self.applies = pc, poison_at, 0
+
+    def apply(self, vec):
+        self.applies += 1
+        out = self.pc.apply(vec)
+        if self.applies == self.poison_at:
+            out[0] = np.inf
+        return out
+
+    def apply_rhs(self, rhs):
+        return self.pc.apply_rhs(rhs)
+
+
+def _gmres_mgs2(pc, a, b, tol):
+    """Reference GMRES: modified Gram-Schmidt with one re-pass, one vector at a
+    time.  Returns the iteration count and the recursion residual history."""
+    pb = pc.apply_rhs(b)
+    beta = np.linalg.norm(pb)
+    basis, cos, sin = [pb / beta], [], []
+    g = [np.complex128(beta)]
+    history = [1.0]
+    for j in range(a.shape[0]):
+        w = pc.apply(a @ basis[j])
+        col = np.zeros(j + 1, dtype=np.complex128)
+        for _ in range(2):
+            for i in range(j + 1):
+                h = np.vdot(basis[i], w)
+                col[i] += h
+                w -= h * basis[i]
+        wnorm = np.linalg.norm(w)
+        for i in range(j):
+            hi, hi1 = col[i], col[i + 1]
+            col[i] = cos[i] * hi + sin[i] * hi1
+            col[i + 1] = -np.conj(sin[i]) * hi + cos[i] * hi1
+        f = col[j]
+        r = np.hypot(abs(f), wnorm)
+        cos.append(abs(f) / r)
+        sin.append((f / abs(f)) * (wnorm / r))
+        g.append(-np.conj(sin[j]) * g[j])
+        g[j] = cos[j] * g[j]
+        history.append(float(abs(g[j + 1]) / beta))
+        if history[-1] <= tol:
+            break
+        basis.append(w / wnorm)
+    return len(history) - 1, history
+
+
+class TestAgainstMgs2:
+    """Classical Gram-Schmidt twice matches the modified Gram-Schmidt it replaced."""
+
+    @staticmethod
+    def _assert_same(pc, a, b, tol):
+        iterations, history = _gmres_mgs2(pc, a, b, tol)
+        rep = gmres_left(pc, a, b, tol=tol)
+        assert rep.iterations == iterations
+        assert_allclose(rep.residual_history, history, rtol=1e-10, atol=0)
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(15)
+        for trial in range(24):
+            n = int(rng.integers(10, 300))
+            a = random_sparse_complex(rng, n, density=0.2)
+            if trial % 2:
+                pc = lu_factor(sp.diags(a.diagonal()).tocsr())
+            else:
+                pc = lu_factor(sp.eye(n, format="csr"))
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            self._assert_same(pc, a, b, 1e-8)
+
+    def test_desk_mesh_at_a_grid_corner(self):
+        (a0, _), mesh = _system("shape", 20.0)
+        (a, b), _ = _system("shape", 20.0, np.array([1.0, -1.0]))
+        self._assert_same(lu_factor(a0, period=mesh.n_theta), a, b, 1e-5)
 
 
 class CountingFactors:
