@@ -70,8 +70,7 @@ def _cmd_train(args) -> int:
 def _cmd_place(args) -> int:
     exp, out = _load_config(args)
     surrogate = load_surrogate(exp, args.surrogate or out / "surrogate.json")
-    remaining = sample_parameter_set(exp).without_indices(surrogate.evaluated)
-    plan = place(exp, surrogate, remaining)
+    plan = place(exp, surrogate, sample_parameter_set(exp))
     path = out / "plan.json"
     plan.save(path)
     print(

@@ -64,6 +64,7 @@ __all__ = [
 
 # Placement tabulates m for every target against every preconditioner, and
 # with cheap enough builds every target gets its own: N^2 doubles, 800 MB here.
+# The cap holds for the realized count, which grid sampling rounds.
 _MAX_POINTS = 10_000
 
 CONFIG_SCHEMA = {
@@ -219,8 +220,14 @@ class ExperimentConfig:
                 raise ValueError("shape family needs amplitude and decay")
             _check_amplitude(self.amplitude, self.decay)
         self.helmholtz_config()  # rejects a mesh too coarse to build
-        if self.sampling == "grid" and self.n_dims > 3:
-            raise ValueError("grid sampling is offered for up to 3 dimensions")
+        if self.sampling == "grid":
+            if self.n_dims > 3:
+                raise ValueError("grid sampling is offered for up to 3 dimensions")
+            if (realized := _grid_nodes(self.n_points, self.n_dims) ** self.n_dims) > _MAX_POINTS:
+                raise ValueError(
+                    f"grid sampling rounds 'n_points' {self.n_points} to {realized} targets, "
+                    f"more than the {_MAX_POINTS} allowed"
+                )
         if self.n_points < 1:
             raise ValueError("need at least one target point")
 
@@ -295,13 +302,18 @@ SURROGATE_SCHEMA = {
 _SURROGATE_VALIDATOR = _Validator(SURROGATE_SCHEMA)
 
 
+def _grid_nodes(n_points: int, n_dims: int) -> int:
+    """Nodes per dimension of the tensor grid that stands for ``n_points`` targets."""
+    return max(2, round(n_points ** (1.0 / n_dims)))
+
+
 def sample_parameter_set(exp: ExperimentConfig) -> ParamSet:
     """Deterministic target set in [-1, 1]^N per the config's sampling rule.
 
     ``uniform`` draws i.i.d. points with the config seed, ``halton`` is
     the seeded low-discrepancy alternative, and ``grid`` builds a tensor
-    grid with round(n_points^(1/N)) nodes per dimension (so the realized
-    count is the nearest perfect power).
+    grid with round(n_points^(1/N)) nodes per dimension, at least 2 (so
+    the realized count is the nearest perfect power).
     """
     box = ParamBox.symmetric_unit(exp.n_dims)
     if exp.sampling == "uniform":
@@ -313,8 +325,7 @@ def sample_parameter_set(exp: ExperimentConfig) -> ParamSet:
         sampler = qmc.Halton(d=exp.n_dims, scramble=True, seed=exp.seed)
         pts = 2.0 * sampler.random(exp.n_points) - 1.0
     else:
-        per_dim = max(2, round(exp.n_points ** (1.0 / exp.n_dims)))
-        axes = [np.linspace(-1.0, 1.0, per_dim)] * exp.n_dims
+        axes = [np.linspace(-1.0, 1.0, _grid_nodes(exp.n_points, exp.n_dims))] * exp.n_dims
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
     return ParamSet(box, pts)
@@ -480,24 +491,15 @@ def load_surrogate(exp: ExperimentConfig, path) -> TrainedSurrogate:
 
 
 def place(
-    exp: ExperimentConfig, surrogate: TrainedSurrogate, remaining: ParamSet
+    exp: ExperimentConfig, surrogate: TrainedSurrogate, targets: ParamSet
 ) -> PlacementPlan:
-    """Plan preconditioners for ``remaining``, with the mean one as fixed.
+    """Plan preconditioners for the ``targets`` training left unsolved, the mean one fixed.
 
     With nothing left to solve the plan holds the mean preconditioner only.
     """
-    if len(remaining) == 0:
-        return PlacementPlan(
-            pc_locations=surrogate.ybar.reshape(1, -1),
-            fixed_mask=np.array([True]),
-            assignment=np.zeros(0, dtype=int),
-            point_indices=np.zeros(0, dtype=int),
-            assigned_m=np.zeros(0),
-            estimated_cost=0.0,
-        )
     policy = exp.cost_policy()
     return plan_placement(
-        remaining,
+        targets.without_indices(surrogate.evaluated),
         surrogate.expected_iterations,
         cost_ratio=surrogate.m_max,
         pc_fixed=[surrogate.ybar],
@@ -546,7 +548,7 @@ def _report(
         label=label,
         n_dims=exp.n_dims,
         k0=exp.k0,
-        n_points=exp.n_points,
+        n_points=len(targets),
         seed=exp.seed,
         cost_mode=exp.cost_mode,
         n_ratio=n_ratio,
@@ -578,9 +580,8 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         _running_total(r.cost for r in training), surrogate.train_wall_time
     )
 
-    remaining = targets.without_indices(surrogate.evaluated)
     la_start = time.perf_counter()
-    plan = place(exp, surrogate, remaining)
+    plan = place(exp, surrogate, targets)
     t_l_al = policy.stage_cost(0.0, time.perf_counter() - la_start)
 
     # the targets' stable indices are their rows, so the plan's are positions
@@ -590,7 +591,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     # the mean-based estimate takes measured counts where available; the
     # planner's first greedy cost is the surrogate's sum over the rest
     est = float(sum(r.iterations for r in training if r.position is not None))
-    if len(remaining):
+    if plan.greedy_cost_trace:
         est += plan.greedy_cost_trace[0]
 
     report = _report(

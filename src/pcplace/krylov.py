@@ -446,7 +446,11 @@ class CostPolicy:
 
         Synthetic mode gives the configured ``c_build / c_iter``; measured
         mode divides the mean build cost by the mean cost per iteration.
+        With no successful build, or no successful solve (a failed one costs
+        nothing), there is no mean to divide by, and the count is NaN.
         """
         if self.mode == "synthetic":
             return self.c_build / self.c_iter
+        if n_builds == 0 or solve_total == 0:
+            return math.nan
         return (build_total / n_builds) / (solve_total / max(iterations, 1))

@@ -341,14 +341,22 @@ def plan_placement(
     ``1e-4 * max(total_before, 1.0)``.
     A final pruning pass drops chargeable preconditioners whose removal
     lowers the strategy cost; one left with an empty cell always goes.
+    An empty target set gets the fixed preconditioners only, at no cost.
     """
-    if len(targets) == 0:
-        raise ValueError("cannot place preconditioners for an empty target set")
     rng = np.random.default_rng(seed)
     points = targets.points
     box = targets.box
 
     fixed_arr = np.asarray(list(pc_fixed), dtype=float).reshape(-1, box.dims)
+    if len(targets) == 0:
+        return PlacementPlan(
+            pc_locations=fixed_arr,
+            fixed_mask=np.ones(len(fixed_arr), dtype=bool),
+            assignment=np.zeros(0, dtype=int),
+            point_indices=targets.indices.copy(),
+            assigned_m=np.zeros(0),
+            estimated_cost=0.0,
+        )
     locations, fixed_mask, trace = greedy_init(points, m, cost_ratio, fixed_arr, box)
 
     table = _metric_table(points, locations, m)

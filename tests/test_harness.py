@@ -287,6 +287,21 @@ class TestConfig:
         )
         assert f"is greater than the maximum of {cap}" in err
 
+    def test_grid_past_the_cap_fails_before_the_output_directory(self, tmp_path, capsys):
+        # 3-dim grids round n_points to a cube: 9261 is 21^3, 10000 becomes 22^3 = 10648
+        def grid(n_points):
+            return {"family": {"kind": "affine", "eta": [0.5] * 3}, "k0": 5.0,
+                    "n_points": n_points, "sampling": "grid"}
+
+        assert ExperimentConfig.from_dict(grid(9261)).n_points == 9261
+        with pytest.raises(ValueError, match="'n_points' 10000 to 10648 targets"):
+            ExperimentConfig.from_dict(grid(10_000))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**grid(10_000), "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "'n_points'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _fails_before_the_output_directory(tmp_path, capsys, keys, value):
         """``from_dict`` and ``pcplace run`` reject ``value`` at ``keys``, naming the key."""
@@ -588,7 +603,7 @@ class TestBaselines:
         report = strategy(exp)
         if isinstance(report, tuple):
             report = report[0]
-        assert len(report.per_point) == 16
+        assert len(report.per_point) == report.n_points == 16
         assert len(report.pc_fixed_mask) == len(report.pc_locations)
         assert report.cost_per_point == 16 * (report.n_ratio + 1.0)
         iterations = sum(r["iterations"] for r in report.per_point)
@@ -746,6 +761,31 @@ class TestBuildFailures:
         assert report.cost_total == report.n_ratio * report.n_pc + sum(
             rec["iterations"] for rec in report.per_point
         )
+
+    @pytest.mark.parametrize(
+        "kind, stem, site, error",
+        [("per-point", "per_point", "lu_factor", krylov.SingularMatrixError("zero pivot")),
+         ("mean", "mean_based", "gmres_left", krylov.BreakdownError("zero Arnoldi vector"))],
+        ids=["no-build", "no-solve"],
+    )
+    def test_a_measured_run_with_nothing_to_price_is_degraded(
+        self, tmp_path, monkeypatch, kind, stem, site, error
+    ):
+        # with no successful build, or no successful solve, measured mode
+        # has no mean cost to divide by: n_ratio and the costs it prices are NaN
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(surrogate, site, fail)
+        doc = {"family": {"kind": "affine", "eta": [0.25]}, "k0": 5.0, "n_points": 3,
+               "cost": {"mode": "measured"}, "output_dir": str(tmp_path)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["baseline", "--config", str(path), "--kind", kind]) == 2
+        report = load_report(tmp_path / f"report_{stem}.json")
+        assert report.degraded and np.isnan(report.n_ratio) and np.isnan(report.cost_total)
+        assert [rec["error"] for rec in report.per_point] == [
+            f"{type(error).__name__}: {error}"] * 3
 
     @pytest.mark.parametrize("strategy", [run_pipeline, baseline_mean_based])
     def test_a_failed_reference_build_raises(self, strategy, monkeypatch):

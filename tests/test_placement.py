@@ -657,6 +657,22 @@ class TestPlanPlacement:
             plan.estimated_cost, plan.assigned_m.sum()
         )
 
+    def test_empty_target_set_gets_the_fixed_pcs_only(self):
+        # what the pipeline plans when training consumed every target: the
+        # fixed preconditioners only, nothing assigned, at no cost
+        targets = make_set([[0.5, -0.5]]).without_indices([0])
+        centre = np.zeros(2)
+        plan = plan_placement(targets, euclidean_m, cost_ratio=50.0, pc_fixed=[centre])
+        by_hand = PlacementPlan(
+            pc_locations=centre.reshape(1, -1),
+            fixed_mask=np.array([True]),
+            assignment=np.zeros(0, dtype=int),
+            point_indices=np.zeros(0, dtype=int),
+            assigned_m=np.zeros(0),
+            estimated_cost=0.0,
+        )
+        assert plan.to_json_dict() == by_hand.to_json_dict()
+
     def test_sweep_without_a_chargeable_cell_makes_no_m_call(self, monkeypatch):
         # the fixed center serves every target, so the sweep has no cell to
         # move: it runs no descent and keeps its table
