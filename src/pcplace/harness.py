@@ -515,20 +515,30 @@ def place(
     )
 
 
-def _report(
-    exp: ExperimentConfig, label: str, oracle: FemSolveOracle, n_train: int, n_ratio: float,
+def _run_plan(
+    exp: ExperimentConfig, label: str, oracle: FemSolveOracle, wall_start: float, plan,
+    n_train: int = 0, n_ratio: float | None = None, t_train: float = 0.0, t_l_al: float = 0.0,
     **values,
 ) -> RunReport:
-    """A strategy's report, with its solves and costs read off the oracle's log.
+    """Run a strategy's ``plan`` on its oracle and report it off the oracle's log alone.
 
-    The first ``n_train`` log records are surrogate training, the rest are
-    execution.  Every build in the log costs ``n_ratio`` iterations and
-    every solve the iterations it took; a failed build costs nothing.  The
-    record of a failed solve, or of a solve standing in for a failed
-    build, carries the error, the report is then degraded, and ``it_av``
-    leaves that record out.
+    ``plan`` is ``FemSolveOracle.execute``'s five arguments; the report's
+    locations and fixed mask are the ones that ran.  The first ``n_train``
+    log records are surrogate training, the rest are execution: ``t_exec``
+    is the running total of the records logged before the plan ran (the
+    mean-based reference build) plus that of the plan's own.  Every build
+    in the log costs ``n_ratio`` iterations (by default the break-even count
+    the oracle realized) and every solve the iterations it took; a failed
+    build costs nothing.  The record of a failed solve, or of a solve
+    standing in for a failed build, carries the error, the report is then
+    degraded, and ``it_av`` leaves that record out.  ``wall_seconds`` spans
+    the strategy from ``wall_start``.
     """
+    n_before = len(oracle.log)
+    oracle.execute(*plan)
     targets, log = oracle.points, oracle.log
+    if n_ratio is None:
+        n_ratio = oracle.n_ratio()
     solves = [(k, r) for k, r in enumerate(log) if r.position is not None]
     per_point = [
         {
@@ -552,13 +562,20 @@ def _report(
         seed=exp.seed,
         cost_mode=exp.cost_mode,
         n_ratio=n_ratio,
+        t_train=t_train,
+        t_l_al=t_l_al,
+        t_exec=_running_total(r.cost for r in log[n_train:n_before])
+        + _running_total(r.cost for r in log[n_before:]),
         n_pc=n_pc,
         it_av=float(np.mean(exec_iters)) if exec_iters else 0.0,
         cost_total=n_ratio * n_pc + float(sum(r.iterations for _, r in solves)),
         cost_per_point=n_ratio * len(targets) + float(len(targets)),  # 1 build, 1 iteration each
         degraded=not all(r.converged and r.error is None for r in log),
         per_point=sorted(per_point, key=lambda rec: rec["index"]),
+        pc_locations=np.asarray(plan[0]).tolist(),
+        pc_fixed_mask=np.asarray(plan[1]).tolist(),
         **values,
+        wall_seconds=time.perf_counter() - wall_start,
     )
 
 
@@ -572,21 +589,14 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     """
     wall_start = time.perf_counter()
     surrogate, oracle = train(exp)
-    targets, policy = oracle.points, oracle.policy
     training = list(oracle.log)
-    n_train = len(training)
-    n_ratio = surrogate.m_max
-    t_train = policy.stage_cost(
+    t_train = oracle.policy.stage_cost(
         _running_total(r.cost for r in training), surrogate.train_wall_time
     )
 
     la_start = time.perf_counter()
-    plan = place(exp, surrogate, targets)
-    t_l_al = policy.stage_cost(0.0, time.perf_counter() - la_start)
-
-    # the targets' stable indices are their rows, so the plan's are positions
-    oracle.execute(plan.pc_locations, plan.fixed_mask, plan.assignment, plan.point_indices,
-                   range(plan.n_pc))
+    plan = place(exp, surrogate, oracle.points)
+    t_l_al = oracle.policy.stage_cost(0.0, time.perf_counter() - la_start)
 
     # the mean-based estimate takes measured counts where available; the
     # planner's first greedy cost is the surrogate's sum over the rest
@@ -594,22 +604,23 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
     if plan.greedy_cost_trace:
         est += plan.greedy_cost_trace[0]
 
-    report = _report(
-        exp, "pipeline", oracle, n_train, n_ratio,
+    # the targets' stable indices are their rows, so the plan's are positions
+    report = _run_plan(
+        exp, "pipeline", oracle, wall_start,
+        (plan.pc_locations, plan.fixed_mask, plan.assignment, plan.point_indices,
+         range(plan.n_pc)),
+        n_train=len(training),
+        n_ratio=surrogate.m_max,
         t_train=t_train,
         t_l_al=t_l_al,
-        t_exec=_running_total(r.cost for r in oracle.log[n_train:]),
-        cost_mean_based=n_ratio * 1 + est,
+        cost_mean_based=surrogate.m_max + est,
         cost_mean_based_estimated=True,
         m_max=surrogate.m_max,
-        pc_locations=plan.pc_locations.tolist(),
-        pc_fixed_mask=plan.fixed_mask.tolist(),
         disagree_trace=list(surrogate.sp_history),
         rmse_trace=_running_rmse(surrogate.prediction_trace),
         greedy_cost_trace=list(plan.greedy_cost_trace),
         sigma_m_trace=list(plan.sigma_m_trace),
-        m_grid=_m_grid(surrogate, targets.box),
-        wall_seconds=time.perf_counter() - wall_start,
+        m_grid=_m_grid(surrogate, oracle.points.box),
     )
     return report, surrogate, plan
 
@@ -621,18 +632,8 @@ def baseline_mean_based(exp: ExperimentConfig) -> RunReport:
     targets = oracle.points
     oracle.build_reference()
     n = len(targets)
-    oracle.execute([targets.box.center], [True], np.zeros(n, dtype=int), range(n), ["mean"])
-
-    build, *solves = oracle.log
-    report = _report(
-        exp, "mean_based", oracle, 0, oracle.n_ratio(),
-        t_train=0.0,
-        t_l_al=0.0,
-        t_exec=build.cost + _running_total(r.cost for r in solves),
-        pc_locations=[targets.box.center.tolist()],
-        pc_fixed_mask=[True],
-        wall_seconds=time.perf_counter() - wall_start,
-    )
+    report = _run_plan(exp, "mean_based", oracle, wall_start, (
+        [targets.box.center], [True], np.zeros(n, dtype=int), range(n), ["mean"]))
     report.cost_mean_based = report.cost_total
     return report
 
@@ -645,17 +646,8 @@ def baseline_per_point(exp: ExperimentConfig) -> RunReport:
     # one target at a time, build then solve: the order fixes t_exec's sum;
     # with no reference preconditioner, a failed build fails its target
     n = len(targets)
-    oracle.execute(targets.points, np.zeros(n, dtype=bool), np.arange(n), range(n), range(n))
-
-    report = _report(
-        exp, "per_point", oracle, 0, oracle.n_ratio(),
-        t_train=0.0,
-        t_l_al=0.0,
-        t_exec=_running_total(r.cost for r in oracle.log),
-        pc_locations=targets.points.tolist(),
-        pc_fixed_mask=[False] * len(targets),
-        wall_seconds=time.perf_counter() - wall_start,
-    )
+    report = _run_plan(exp, "per_point", oracle, wall_start, (
+        targets.points, np.zeros(n, dtype=bool), np.arange(n), range(n), range(n)))
     report.cost_per_point = report.cost_total
     return report
 

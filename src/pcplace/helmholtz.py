@@ -18,6 +18,7 @@ pollution effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -54,6 +55,10 @@ __all__ = [
 # Propagation direction of the incident plane wave, whose amplitude is 1.
 INCIDENT_DIRECTION = (1.0, 0.0)
 
+# A mesh of more nodes is rejected with its config, before anything is built.
+# A run near the cap peaked at about 600 MiB (README); k0 40 gives 48,972 nodes.
+_MAX_MESH_NODES = 100_000
+
 
 class DegenerateMapError(ValueError):
     """The domain map lost invertibility at a quadrature point."""
@@ -83,10 +88,15 @@ class HelmholtzConfig:
             raise ValueError("wavenumber must be positive")
         if not 0 < self.tol < 1:
             raise ValueError("GMRES tolerance must lie in (0, 1)")
-        if self.h > self.r_out - self.r_in:
-            source = "mesh_size" if self.mesh_size is not None else "k0 and mesh_constant"
+        h, span = self.h, self.r_out - self.r_in
+        source = "mesh_size" if self.mesh_size is not None else "k0 and mesh_constant"
+        if h > span:
+            raise ValueError(f"mesh size h={h:.3g} (from {source}) is too coarse for the annulus")
+        # below span / cap, n_r alone passes the cap; h may even have underflowed to 0
+        if h < span / _MAX_MESH_NODES or math.prod(self.rings) > _MAX_MESH_NODES:
             raise ValueError(
-                f"mesh size h={self.h:.3g} (from {source}) is too coarse for the annulus"
+                f"mesh size h={h:.3g} (from {source}) makes a mesh of more than "
+                f"{_MAX_MESH_NODES} nodes"
             )
 
     @property
@@ -95,6 +105,13 @@ class HelmholtzConfig:
         if self.mesh_size is not None:
             return self.mesh_size
         return self.mesh_constant * self.k0 ** (-1.5)
+
+    @property
+    def rings(self) -> tuple[int, int]:
+        """The mesh's ring count ``n_r`` and ring length ``n_theta`` at ``h``."""
+        n_r = math.ceil((self.r_out - self.r_in) / self.h) + 1
+        n_theta = max(math.ceil(2 * math.pi * self.r_out / self.h), 8)
+        return n_r, n_theta
 
     @property
     def grad_mollifier_bound(self) -> float:
@@ -165,11 +182,7 @@ def build_annulus_mesh(cfg: HelmholtzConfig) -> AnnulusMesh:
     ``t2``), each formula with the operands and order it has on
     ``nodes[triangles]``, so the arrays are that gather's bit for bit.
     """
-    h = cfg.h
-    span = cfg.r_out - cfg.r_in
-    n_r = int(np.ceil(span / h)) + 1
-    n_theta = max(int(np.ceil(2 * np.pi * cfg.r_out / h)), 8)
-
+    n_r, n_theta = cfg.rings
     radii = np.linspace(cfg.r_in, cfg.r_out, n_r)
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
     x = np.outer(radii, np.cos(thetas)).ravel()

@@ -290,9 +290,7 @@ def gmres_left(
         raise ValueError("right-hand side does not match the matrix")
     if not 0 < tol < 1:
         raise ValueError("tolerance must lie in (0, 1)")
-    if max_iter is None:
-        max_iter = n
-    max_iter = min(max_iter, n)
+    max_iter = n if max_iter is None else min(max_iter, n)
 
     start = time.perf_counter()
     pb = pc.apply_rhs(b)
@@ -316,8 +314,6 @@ def gmres_left(
     g = [complex(beta)]
     history = [1.0]
 
-    steps = 0
-    breakdown = False
     for j in range(max_iter):
         w = pc.apply(a @ basis[j])
         # Classical Gram-Schmidt with one unconditional re-pass ("twice is
@@ -352,26 +348,23 @@ def gmres_left(
         g.append(-s.conjugate() * g[j])
         g[j] = c * g[j]
 
-        steps = j + 1
         rel = abs(g[j + 1]) / beta
         history.append(rel)
         if rel <= tol:
             break
         if wnorm <= 1e-14 * beta:
-            breakdown = True
-            break
-        if steps == len(basis):
-            grown = np.empty((min(2 * steps, max_iter + 1), n), dtype=np.complex128)
-            grown[:steps] = basis
+            raise BreakdownError(
+                f"Arnoldi norm vanished at step {j + 1} with relative residual "
+                f"{rel:.3e} > tol {tol:.1e}"
+            )
+        if j + 1 == len(basis):
+            grown = np.empty((min(2 * (j + 1), max_iter + 1), n), dtype=np.complex128)
+            grown[: j + 1] = basis
             basis = grown
-        np.divide(w, wnorm, out=basis[steps])
+        np.divide(w, wnorm, out=basis[j + 1])
 
+    steps = len(cols)
     converged = history[-1] <= tol
-    if breakdown and not converged:
-        raise BreakdownError(
-            f"Arnoldi norm vanished at step {steps} with relative residual "
-            f"{history[-1]:.3e} > tol {tol:.1e}"
-        )
 
     # Back-substitute the small triangular system for the minimizer.
     y = [0j] * steps

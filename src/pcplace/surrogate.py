@@ -435,7 +435,12 @@ class TrainedSurrogate:
 def _origin_pinned_gp(prior: SurrogatePrior, iter_map: IterationMap) -> GpState:
     """The GP training starts from: the origin pin, zero shift at one iteration.
 
-    The kernel vanishes at the origin, so the pin is inert but keeps m(0) = 1.
+    The kernel and the prior mean vanish at the origin, so in exact
+    arithmetic the pin changes no prediction; m(0) = 1 comes from the
+    one-iteration floor of ``expected_iterations``, with or without it.  In
+    floating point the pin is not inert: it changes the rounding of the Gram
+    factor and of the sums over training pairs, and the ill-conditioned Gram
+    of grid targets amplifies that into other plans.
     """
     gp = GpState(prior)
     gp.add_pair(np.zeros(prior.dims), iter_map.alpha_from_iters(1.0))

@@ -1,5 +1,7 @@
+import functools
 import importlib.util
 import json
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from pcplace import harness, krylov, surrogate
+from pcplace import harness, helmholtz, krylov, surrogate
 from pcplace.cli import main as cli_main
 from pcplace.harness import (
     CONFIG_SCHEMA,
@@ -37,6 +39,10 @@ def small_affine_config(**overrides):
     }
     doc.update(overrides)
     return ExperimentConfig.from_dict(doc)
+
+
+# the desk fixture's shape family
+SHAPE = {"kind": "shape", "n_dims": 2, "amplitude": 0.5 * max_safe_amplitude(2.0), "decay": 2.0}
 
 
 def _lu_shifted(matrix, **kwargs):
@@ -300,6 +306,38 @@ class TestConfig:
         path.write_text(json.dumps({**grid(10_000), "output_dir": str(tmp_path / "out")}))
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "'n_points'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_mesh_cap_binds_on_the_node_count(self):
+        cap = helmholtz._MAX_MESH_NODES
+        # h 0.00692 gives 110 rings of 908 nodes, 99,880 in all; h 0.0069 gives 110 of 911
+        below = ExperimentConfig.from_dict(_set_key(("mesh_size",), 0.00692))
+        assert below.helmholtz_config().rings == (110, 908) and 110 * 908 <= cap
+        with pytest.raises(ValueError, match=rf"\(from mesh_size\) .* more than {cap} nodes"):
+            ExperimentConfig.from_dict(_set_key(("mesh_size",), 0.0069))
+
+    # schema-valid, each asking for gigabytes; the mesh must not be built
+    @pytest.mark.parametrize(
+        "change, key",
+        [({"k0": 20.0, "mesh_constant": 1e-9}, "k0 and mesh_constant"),
+         ({"family": SHAPE, "k0": 2000.0}, "k0 and mesh_constant"),
+         ({"family": SHAPE, "mesh_size": 1e-4}, "mesh_size")],
+        ids=["mesh_constant", "k0", "mesh_size"],
+    )
+    def test_a_mesh_past_the_cap_fails_before_the_output_directory(
+        self, tmp_path, capsys, monkeypatch, change, key
+    ):
+        def unbuilt(cfg):
+            raise AssertionError(f"built a mesh at h={cfg.h}")
+
+        monkeypatch.setattr(helmholtz, "build_annulus_mesh", unbuilt)
+        monkeypatch.setattr(harness, "build_annulus_mesh", unbuilt)
+        doc = {**_set_key(("k0",), 20.0), **change, "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"(from {key}) makes a mesh of more than {helmholtz._MAX_MESH_NODES} nodes" in err
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -694,6 +732,78 @@ class TestLedgerOrder:
         baseline_per_point(self.EXP)
         n = len(sample_parameter_set(self.EXP))
         assert self._order(*oracles) == [rec for i in range(n) for rec in (self.BUILD, (i, i))]
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """Each ``FemSolveOracle.execute`` call: the log length before it, and its plan."""
+    calls, execute = [], surrogate.FemSolveOracle.execute
+
+    def spy(self, *plan):
+        calls.append((len(self.log), plan))
+        return execute(self, *plan)
+
+    monkeypatch.setattr(surrogate.FemSolveOracle, "execute", spy)
+    return calls
+
+
+def _running_total(records):
+    return functools.reduce(operator.add, (r.cost for r in records), 0.0)
+
+
+class TestRunPlan:
+    """Each strategy hands one plan to one runner, which reports what ran."""
+
+    EXP = ExperimentConfig.from_dict(GOLDEN_CONFIGS["golden_affine"])
+    STRATEGIES = [run_pipeline, baseline_mean_based, baseline_per_point]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_report_holds_the_locations_and_mask_that_ran(self, strategy, executed):
+        out = strategy(self.EXP)
+        report = out[0] if isinstance(out, tuple) else out
+        ((_, (locations, fixed_mask, *_)),) = executed
+        assert report.pc_locations == [[float(v) for v in loc] for loc in locations]
+        assert report.pc_fixed_mask == [bool(m) for m in fixed_mask]
+
+    # call 2 of lu_factor is the pipeline's first placed build, call 3 the
+    # per-point baseline's third.  "skewed" prices in synthetic mode, where
+    # the plans do not read the prices, a build at 1 and a solve at 2^-53:
+    # then 1 + 2^-53 rounds back to 1, and summing in another order shows
+    @pytest.mark.parametrize(
+        "strategy, mode, failing",
+        [(strategy, mode, None)
+         for strategy in STRATEGIES for mode in ("synthetic", "measured", "skewed")]
+        + [(run_pipeline, "skewed", 2), (baseline_per_point, "skewed", 3)],
+        ids=[f"{name}-{mode}" for name in ("pipeline", "mean", "per-point")
+             for mode in ("synthetic", "measured", "skewed")]
+        + ["pipeline-failed-build", "per-point-failed-build"],
+    )
+    def test_t_exec_is_the_records_after_training_bit_for_bit(
+        self, strategy, mode, failing, executed, oracles, monkeypatch
+    ):
+        if failing:
+            monkeypatch.setattr(surrogate, "lu_factor", _lu_failing_on(failing))
+        if mode == "skewed":
+            monkeypatch.setattr(krylov.CostPolicy, "build_cost", lambda self, pc: 1.0)
+            monkeypatch.setattr(krylov.CostPolicy, "solve_cost", lambda self, pc, rep: 2.0**-53)
+            mode = "synthetic"
+        out = strategy(replace(self.EXP, cost_mode=mode))
+        report = out[0] if isinstance(out, tuple) else out
+        assert report.degraded == bool(failing)
+        (oracle,), ((n_before, _),) = oracles, executed
+        log = oracle.log
+        # the rule: the records after training but before the plan ran (only
+        # the mean-based reference build), then the plan's own records
+        n_train = 1 + len(out[1].evaluated) if isinstance(out, tuple) else 0
+        t_exec = _running_total(log[n_train:n_before]) + _running_total(log[n_before:])
+        assert report.t_exec == t_exec
+        # which is each strategy's own sum
+        if strategy is run_pipeline:
+            assert n_before == n_train and t_exec == _running_total(log[n_train:])
+        elif strategy is baseline_mean_based:
+            assert n_before == 1 and t_exec == log[0].cost + _running_total(log[1:])
+        else:
+            assert n_before == 0 and t_exec == _running_total(log)
 
 
 def _lu_failing_on(call):

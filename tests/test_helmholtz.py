@@ -147,6 +147,8 @@ class TestMesh:
     def test_matches_the_reference_builder_bitwise(self, k0, mesh_size):
         cfg = HelmholtzConfig(k0=k0, mesh_size=mesh_size)
         mesh, ref = build_annulus_mesh(cfg), reference_mesh(cfg)
+        # the rings the config check counts are the reference mesh's
+        assert cfg.rings == (ref.n_nodes // ref.n_theta, ref.n_theta)
         for name in MESH_ARRAYS:
             got, want = getattr(mesh, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name

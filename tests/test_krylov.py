@@ -336,7 +336,8 @@ class TestGmresLeft:
 
         a = sp.eye(2, format="csr")
         b = np.array([0.0, 1.0], dtype=complex)
-        with pytest.raises(BreakdownError):
+        step = r"at step 1 with relative residual 1\.000e\+00"
+        with pytest.raises(BreakdownError, match=step):
             gmres_left(NilpotentAction(), a, b, tol=1e-5)
 
     def test_records_both_residuals(self):

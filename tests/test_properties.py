@@ -228,9 +228,22 @@ def test_descent_leaves_a_lone_member_for_a_heavier_cluster():
     assert np.array_equal(_descent_end(cell, np.array([[1.0]]), 36.0, member), member)
 
 
+# A mesh size h of at most 0.0069 makes a mesh past the node cap (110
+# rings of 911 nodes at 0.0069); the coarse draws give h of at least 0.034.
+H_PAST_THE_CAP = 0.0069
+PAST_THE_CAP = {
+    "mesh_size": st.floats(0.0, H_PAST_THE_CAP, exclude_min=True),
+    "mesh_constant": st.floats(0.0, 1e-3, exclude_min=True),  # h <= 2.9e-3
+    "k0": st.floats(100.0, 1e308),  # h <= 6.0e-3, and 0 once k0^-1.5 underflows
+}
+
+
 @st.composite
 def tiny_documents(draw):
-    """Schema-valid experiment documents on coarse meshes with a few targets."""
+    """Schema-valid experiment documents on coarse meshes with a few targets.
+
+    One in five asks for a mesh past the node cap instead.
+    """
     dims = draw(st.integers(1, 3))
     if draw(st.booleans()):
         eta = st.floats(0.01, 0.99)
@@ -243,7 +256,7 @@ def tiny_documents(draw):
             "kind": "shape", "n_dims": dims, "amplitude": share * max_safe_amplitude(decay),
             "decay": decay,
         }
-    return {
+    doc = {
         "family": family,
         "k0": draw(st.floats(0.5, 6.0)),
         "n_points": draw(st.integers(1, 6)),
@@ -254,12 +267,21 @@ def tiny_documents(draw):
         "max_iter": draw(st.sampled_from([None, None, None, 1, 2, 5])),
         "cost": {"c_build": draw(st.sampled_from([1e-6, 1e-5, 1e-4])), "c_iter": 1e-6},
     }
+    key = draw(st.sampled_from([None] * 12 + list(PAST_THE_CAP)))
+    if key is not None:
+        doc[key] = draw(PAST_THE_CAP[key])
+    return doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tiny_documents())
 def test_a_schema_valid_document_is_rejected_or_runs(doc):
     jsonschema.validate(doc, CONFIG_SCHEMA)
+    h = doc.get("mesh_size") or doc["mesh_constant"] * doc["k0"] ** -1.5
+    if h <= H_PAST_THE_CAP:
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(doc)
+        return
     try:
         exp = ExperimentConfig.from_dict(doc)
     except ValueError:

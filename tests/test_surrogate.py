@@ -21,6 +21,7 @@ from pcplace.surrogate import (
     ALPHA_MIN,
     FemSolveOracle,
     GpState,
+    GramFactorizationError,
     IterationMap,
     LogRecord,
     SpTracker,
@@ -299,6 +300,49 @@ class TestPosterior:
             gp.add_pair(rng.uniform(-1, 1, 3), rng.uniform(0.0, 0.5))
         _, var = gp.posterior(rng.uniform(-1, 1, size=(50, 3)))
         assert np.all(var >= 0)
+
+
+class TestJitterEscalation:
+    """A failed Cholesky factorization retries at tenfold jitter, three times at most."""
+
+    @staticmethod
+    def _gp_and_start_jitter():
+        rng = np.random.default_rng(11)
+        gp = GpState(make_prior(2), coeffs=(0.3, 0.2))
+        for _ in range(6):
+            gp.add_pair(rng.uniform(-1, 1, 2), rng.uniform(0.0, 0.5))
+        gram = kernel_matrix(gp.deltas, gp.deltas, gp.prior.profile.corr_lengths)
+        return gp, 1e-10 * max(float(gram.diagonal().max()), 1.0)
+
+    @staticmethod
+    def _cho_factor_failing(monkeypatch, times):
+        """Patch ``scipy.linalg.cho_factor`` to raise on its first ``times`` calls."""
+        calls, cho_factor = [], scipy.linalg.cho_factor
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= times:
+                raise scipy.linalg.LinAlgError("not positive definite")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        return calls
+
+    def test_two_failures_leave_the_jitter_at_a_hundredfold(self, monkeypatch):
+        gp, start = self._gp_and_start_jitter()
+        calls = self._cho_factor_failing(monkeypatch, 2)
+        mean, var = gp.posterior(np.random.default_rng(12).uniform(-1, 1, size=(20, 2)))
+        assert len(calls) == 3
+        assert gp.jitter == start * 10.0 * 10.0
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+    def test_four_failures_raise_naming_the_last_jitter(self, monkeypatch):
+        gp, start = self._gp_and_start_jitter()
+        calls = self._cho_factor_failing(monkeypatch, 4)
+        last = start * 10.0 * 10.0 * 10.0
+        with pytest.raises(GramFactorizationError, match=f"up to jitter {last:.3e}$"):
+            gp.mean(np.zeros((1, 2)))
+        assert len(calls) == 4
 
 
 def public_mean(gp: GpState, d: np.ndarray) -> np.ndarray:
