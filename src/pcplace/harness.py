@@ -37,10 +37,9 @@ from .param_space import ParamBox, ParamSet
 from .placement import PlacementPlan, plan_placement
 from .surrogate import (
     FemSolveOracle,
-    IterationMap,
     TrainedSurrogate,
-    _origin_pinned_gp,
     _running_total,
+    surrogate_from_pairs,
     train_surrogate_core,
 )
 
@@ -66,6 +65,9 @@ __all__ = [
 # with cheap enough builds every target gets its own: N^2 doubles, 800 MB here.
 # The cap holds for the realized count, which grid sampling rounds.
 _MAX_POINTS = 10_000
+# A family forms d x d weight matrices, and the planner's finite-difference
+# stencil holds (d + 1) n d doubles for n targets in moving cells.
+_MAX_DIMS = 32
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -83,8 +85,9 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                     "minItems": 1,
+                    "maxItems": _MAX_DIMS,
                 },
-                "n_dims": {"type": "integer", "minimum": 1},
+                "n_dims": {"type": "integer", "minimum": 1, "maximum": _MAX_DIMS},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
                 "decay": {"type": "number", "exclusiveMinimum": 1},
             },
@@ -403,18 +406,15 @@ def _running_rmse(trace) -> list[float]:
     return out
 
 
-def _m_grid(surrogate: TrainedSurrogate, box: ParamBox, resolution: int = 41):
-    """Surrogate iteration counts on a plotting grid (2D families only)."""
-    if box.dims != 2:
+def _m_grid(surrogate: TrainedSurrogate):
+    """Surrogate iteration counts on a 41 x 41 plotting grid (2D families only)."""
+    if surrogate.gp.prior.dims != 2:
         return None
-    axis = np.linspace(-1.0, 1.0, resolution)
+    axis = np.linspace(-1.0, 1.0, 41)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     deltas = np.column_stack([xx.ravel(), yy.ravel()])
     vals = surrogate.expected_iterations(deltas)
-    return {
-        "axis": axis.tolist(),
-        "values": vals.reshape(resolution, resolution).tolist(),
-    }
+    return {"axis": axis.tolist(), "values": vals.reshape(axis.size, axis.size).tolist()}
 
 
 def _oracle(exp: ExperimentConfig) -> FemSolveOracle:
@@ -448,9 +448,9 @@ def save_surrogate(exp: ExperimentConfig, surrogate: TrainedSurrogate, path) -> 
     doc = {
         "format_version": 2,
         "trained_on": {name: getattr(exp, name) for name in _TRAINED_ON},
-        "train_alphas": surrogate.gp.alphas[1:],  # the pairs after the origin pin
         **{key: getattr(surrogate, key) for key in (
-            "evaluated", "m_max", "tau_pc", "budget_exhausted", "sp_history", "degenerate_fit")},
+            "evaluated", "train_alphas", "m_max", "tau_pc", "budget_exhausted", "sp_history",
+            "degenerate_fit")},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonify(doc), fh, indent=1, sort_keys=True)
@@ -459,9 +459,9 @@ def save_surrogate(exp: ExperimentConfig, surrogate: TrainedSurrogate, path) -> 
 def load_surrogate(exp: ExperimentConfig, path) -> TrainedSurrogate:
     """Rebuild the surrogate ``save_surrogate`` wrote after training on ``exp``.
 
-    The GP is rebuilt pair by pair as training built it and refit once, which
-    is bitwise training's last refit: a refit is a function of the pairs, and
-    a pair set is degenerate only if all its subsets are.
+    The stored pairs go through ``surrogate_from_pairs``, as training's did
+    after its last solve, so every field that constructor sets is bitwise
+    the trained surrogate's.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -480,13 +480,10 @@ def load_surrogate(exp: ExperimentConfig, path) -> TrainedSurrogate:
     targets = sample_parameter_set(exp)
     if max(evaluated) >= len(targets):
         raise ValueError(f"surrogate's 'evaluated' exceeds the config's {len(targets)} targets")
-    iter_map, ybar = IterationMap(exp.tol), targets.box.center
-    gp = _origin_pinned_gp(exp.build_family(exp.helmholtz_config()).prior, iter_map)
-    for index, alpha in zip(evaluated, alphas):
-        gp.add_pair(targets.points[index] - ybar, alpha)
-    return TrainedSurrogate(
-        gp=gp, ybar=ybar, m_max=float(doc["m_max"]), iter_map=iter_map, evaluated=evaluated,
-        tau_pc=float(doc["tau_pc"]), degenerate_fit=gp.refit_coeffs(),
+    # the targets' stable indices are their rows
+    prior = exp.build_family(exp.helmholtz_config()).prior
+    return surrogate_from_pairs(
+        targets, prior, exp.tol, evaluated, alphas, doc["m_max"], doc["tau_pc"]
     )
 
 
@@ -620,7 +617,7 @@ def run_pipeline(exp: ExperimentConfig) -> tuple[RunReport, TrainedSurrogate, Pl
         rmse_trace=_running_rmse(surrogate.prediction_trace),
         greedy_cost_trace=list(plan.greedy_cost_trace),
         sigma_m_trace=list(plan.sigma_m_trace),
-        m_grid=_m_grid(surrogate, oracle.points.box),
+        m_grid=_m_grid(surrogate),
     )
     return report, surrogate, plan
 

@@ -5,13 +5,15 @@ preconditioners, and a full, non-restarted left-preconditioned GMRES whose
 iteration count and preconditioned residual history are the quantities the
 rest of the package reasons about.  Its Krylov basis is the rows of one
 array that grows with the steps it takes, and each step orthogonalizes by
-classical Gram-Schmidt twice (CGS2), two matrix-vector products per pass.  A matrix that commutes with a cyclic shift inside blocks of a
-given period and couples neighbouring blocks only (an operator on a
-rotation-invariant polar mesh) is factored in the angular Fourier basis:
-one tridiagonal band per mode, LAPACK ``zgttrf``.  Every other matrix goes to
-SuperLU in symmetric mode (minimum degree on A + A^T, diagonal pivots
-preferred).  Iteration counts feed the surrogate; ``CostPolicy`` prices
-builds and solves from their nnz or their timings.
+classical Gram-Schmidt twice (CGS2), two matrix-vector products per pass.
+
+A matrix that commutes with a cyclic shift inside blocks of a given period
+and couples neighbouring blocks only (an operator on a rotation-invariant
+polar mesh) is factored in the angular Fourier basis: one tridiagonal band
+per mode, LAPACK ``zgttrf``.  Every other matrix goes to SuperLU in
+symmetric mode (minimum degree on A + A^T, diagonal pivots preferred).
+Iteration counts feed the surrogate; ``CostPolicy`` prices builds and
+solves from their nnz or their timings.
 """
 
 from __future__ import annotations

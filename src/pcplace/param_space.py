@@ -62,9 +62,10 @@ class ParamBox:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Per row of ``points``: inside the box, give or take 1e-12."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        return np.all((pts >= self.lo - 1e-12) & (pts <= self.hi + 1e-12), axis=1)
 
     def clip(self, point: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(point, dtype=float), self.lo, self.hi)

@@ -44,6 +44,7 @@ __all__ = [
     "GpState",
     "SpTracker",
     "TrainedSurrogate",
+    "surrogate_from_pairs",
     "prior_mean",
     "kernel_matrix",
     "fit_hyperparameters",
@@ -263,12 +264,13 @@ class GpState:
     def n_train(self) -> int:
         return self.deltas.shape[0]
 
-    def add_pair(self, delta: np.ndarray, alpha: float) -> None:
-        delta = np.asarray(delta, dtype=float).reshape(1, -1)
+    def add_pair(self, delta: np.ndarray, alpha) -> None:
+        """Append one training pair, or one per row of a 2-d ``delta``."""
+        delta = np.atleast_2d(np.asarray(delta, dtype=float))
         if delta.shape[1] != self.prior.dims:
             raise ValueError("shift dimension does not match the prior")
         self.deltas = np.vstack([self.deltas, delta])
-        self.alphas = np.append(self.alphas, float(alpha))
+        self.alphas = np.append(self.alphas, np.asarray(alpha, dtype=float).reshape(len(delta)))
         self._fit = None
 
     def refit_coeffs(self) -> bool:
@@ -378,11 +380,13 @@ class SpTracker:
 
 @dataclass
 class TrainedSurrogate:
-    """Frozen result of surrogate training.
+    """The surrogate of measured pairs; ``surrogate_from_pairs`` builds every one.
 
     ``expected_iterations`` is the translation-invariant iteration-count
     estimate over parameter shifts; ``m_max`` is the break-even count (one
     preconditioner build expressed in iterations) realized during training.
+    ``degenerate_fit`` says the refit left the prior coefficients at their
+    defaults.  Training adds ``budget_exhausted`` to ``train_wall_time``.
     """
 
     gp: GpState
@@ -397,6 +401,11 @@ class TrainedSurrogate:
     solutions: dict[int, np.ndarray] = field(default_factory=dict)
     train_wall_time: float = 0.0
     degenerate_fit: bool = False
+
+    @property
+    def train_alphas(self) -> np.ndarray:
+        """The measured contraction factors, in training order (the origin pin left out)."""
+        return self.gp.alphas[1:]
 
     @property
     def tau_krylov(self) -> float:
@@ -432,19 +441,29 @@ class TrainedSurrogate:
         return np.where(e_g <= self.m_max, v_g / e_g, -np.inf)
 
 
-def _origin_pinned_gp(prior: SurrogatePrior, iter_map: IterationMap) -> GpState:
-    """The GP training starts from: the origin pin, zero shift at one iteration.
+def surrogate_from_pairs(
+    points: ParamSet, prior: SurrogatePrior, tol: float, positions, alphas, m_max, tau_pc
+) -> TrainedSurrogate:
+    """The surrogate of contraction ``alphas[i]`` measured at row ``positions[i]``, in order.
 
-    The kernel and the prior mean vanish at the origin, so in exact
-    arithmetic the pin changes no prediction; m(0) = 1 comes from the
-    one-iteration floor of ``expected_iterations``, with or without it.  In
-    floating point the pin is not inert: it changes the rounding of the Gram
+    It alone decides what the pairs do not say: the shifts from the box
+    centre ``ybar``; the origin pin, zero shift at one iteration under
+    ``IterationMap(tol)``, ahead of the pairs; and one refit of the prior
+    coefficients, whose flag is ``degenerate_fit``.  The kernel and the
+    prior mean vanish at the origin, so in exact arithmetic the pin changes
+    no prediction (m(0) = 1 is the floor of ``expected_iterations``).  In
+    floating point it is not inert: it changes the rounding of the Gram
     factor and of the sums over training pairs, and the ill-conditioned Gram
     of grid targets amplifies that into other plans.
     """
+    iter_map, ybar, rows = IterationMap(tol), points.box.center, np.asarray(positions, dtype=int)
     gp = GpState(prior)
-    gp.add_pair(np.zeros(prior.dims), iter_map.alpha_from_iters(1.0))
-    return gp
+    gp.add_pair(np.vstack([np.zeros(prior.dims), points.points[rows] - ybar]),
+                [iter_map.alpha_from_iters(1.0), *alphas])
+    return TrainedSurrogate(
+        gp=gp, ybar=ybar, m_max=float(m_max), iter_map=iter_map, tau_pc=float(tau_pc),
+        evaluated=[int(i) for i in points.indices[rows]], degenerate_fit=gp.refit_coeffs(),
+    )
 
 
 def train_surrogate_core(
@@ -461,50 +480,39 @@ def train_surrogate_core(
     cost), ``solve(position) -> (iterations, solution)`` for a row of
     ``points`` solved with that preconditioner, and ``n_ratio()``, the
     break-even iteration count realized over every build and solve so far.
-    That count caps each round's acquisition and becomes ``m_max``.
-    Training seeds the GP with the origin pin and the point of smallest
-    unit-coefficient prior mean, then alternates acquisition, solve,
-    hyperparameter refit and a stabilizing-predictions check.
+    After each solve ``surrogate_from_pairs`` rebuilds the surrogate from
+    every solved row and its alpha, with that count as ``m_max``, the cap of
+    the next round's acquisition: bitwise the GP grown pair by pair, as the
+    rows stack in the same order and a degenerate pair set only ever
+    precedes non-degenerate ones.  The first solve is the point of smallest
+    unit-coefficient prior mean; then acquisition, solve, refit and a
+    stabilizing-predictions check alternate.
     """
     if len(points) == 0:
         raise ValueError("cannot train on an empty parameter set")
     start = time.perf_counter()
-    iter_map = IterationMap(tol)
-    ybar = points.box.center
-    deltas_all = points.points - ybar
-
-    gp = _origin_pinned_gp(prior, iter_map)
+    to_alpha = IterationMap(tol).alpha_from_iters
+    deltas_all = points.points - points.box.center
     tau_pc = float(oracle.build_reference())
-    evaluated_pos: list[int] = []
-    solutions = {}
+    positions, alphas, solutions = [], [], {}  # solved rows, their alphas, their solutions
 
-    def solve(pos: int) -> float:
+    def solve(pos: int) -> tuple[float, TrainedSurrogate]:
         m, solution = oracle.solve(pos)
-        evaluated_pos.append(pos)
+        positions.append(pos)
+        alphas.append(to_alpha(m))
         if solution is not None:
             solutions[int(points.indices[pos])] = solution
-        gp.add_pair(deltas_all[pos], iter_map.alpha_from_iters(m))
-        return float(m)
+        return float(m), surrogate_from_pairs(
+            points, prior, tol, positions, alphas, oracle.n_ratio(), tau_pc)
 
     mu_unit = prior_mean(deltas_all, (1.0, 1.0), prior.b_weight, prior.d_weight)
-    solve(int(np.argmin(mu_unit)))
-    degenerate = gp.refit_coeffs()
-
-    surrogate = TrainedSurrogate(
-        gp=gp,
-        ybar=ybar,
-        m_max=oracle.n_ratio(),
-        iter_map=iter_map,
-        evaluated=[],
-        tau_pc=tau_pc,
-        degenerate_fit=degenerate,
-    )
+    _, surrogate = solve(int(np.argmin(mu_unit)))
     tracker = SpTracker(window=sp_window)
     prev_m = surrogate.expected_iterations(deltas_all)
     trace: list[tuple[int, float, float]] = []
 
     while True:
-        remaining = np.setdiff1d(np.arange(len(points)), evaluated_pos)
+        remaining = np.setdiff1d(np.arange(len(points)), positions)
         if remaining.size == 0:
             surrogate.budget_exhausted = True
             break
@@ -516,9 +524,7 @@ def train_surrogate_core(
         pick = int(remaining[int(np.argmax(scores))])
         predicted = float(surrogate.expected_iterations(deltas_all[[pick]])[0])
 
-        m_i = solve(pick)
-        surrogate.m_max = oracle.n_ratio()
-        degenerate = gp.refit_coeffs() or degenerate
+        m_i, surrogate = solve(pick)
         trace.append((int(points.indices[pick]), predicted, m_i))
 
         new_m = surrogate.expected_iterations(deltas_all)
@@ -527,11 +533,9 @@ def train_surrogate_core(
         if stop:
             break
 
-    surrogate.evaluated = [int(points.indices[p]) for p in evaluated_pos]
     surrogate.sp_history = tracker.history
     surrogate.prediction_trace = trace
     surrogate.solutions = solutions
-    surrogate.degenerate_fit = degenerate
     surrogate.train_wall_time = time.perf_counter() - start
     return surrogate
 

@@ -340,6 +340,38 @@ class TestConfig:
         assert f"(from {key}) makes a mesh of more than {helmholtz._MAX_MESH_NODES} nodes" in err
         assert not (tmp_path / "out").exists()
 
+    # a family forms d x d weight matrices: none may be built past the cap
+    @pytest.mark.parametrize(
+        "key, message", [("n_dims", "is greater than the maximum of"), ("eta", "is too long")]
+    )
+    def test_a_dimension_past_the_cap_fails_before_the_output_directory(
+        self, tmp_path, capsys, monkeypatch, key, message
+    ):
+        def unbuilt(*args):
+            raise AssertionError("built a family")
+
+        for name in ("shape_family", "affine_family"):
+            monkeypatch.setattr(helmholtz, name, unbuilt)
+            monkeypatch.setattr(harness, name, unbuilt)
+        cap = harness._MAX_DIMS
+
+        def doc(dims):
+            doc = _set_key(("family", key), dims)
+            if key == "eta":
+                doc["family"]["eta"] = [0.5] * dims
+            return doc
+
+        assert ExperimentConfig.from_dict(doc(cap)).n_dims == cap
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(doc(cap + 1))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**doc(cap + 1), "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _fails_before_the_output_directory(tmp_path, capsys, keys, value):
         """``from_dict`` and ``pcplace run`` reject ``value`` at ``keys``, naming the key."""

@@ -41,6 +41,7 @@ from pcplace.placement import (  # noqa: E402
     locate,
 )
 from pcplace.surrogate import IterationMap  # noqa: E402
+from test_surrogate import constructed_fields  # noqa: E402
 
 
 @st.composite
@@ -238,11 +239,15 @@ PAST_THE_CAP = {
 }
 
 
+MAX_DIMS = CONFIG_SCHEMA["properties"]["family"]["properties"]["n_dims"]["maximum"]
+
+
 @st.composite
 def tiny_documents(draw):
     """Schema-valid experiment documents on coarse meshes with a few targets.
 
-    One in five asks for a mesh past the node cap instead.
+    Three in sixteen ask for a mesh past the node cap instead, and one in
+    sixteen for more dimensions than the schema's cap.
     """
     dims = draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -267,8 +272,11 @@ def tiny_documents(draw):
         "max_iter": draw(st.sampled_from([None, None, None, 1, 2, 5])),
         "cost": {"c_build": draw(st.sampled_from([1e-6, 1e-5, 1e-4])), "c_iter": 1e-6},
     }
-    key = draw(st.sampled_from([None] * 12 + list(PAST_THE_CAP)))
-    if key is not None:
+    key = draw(st.sampled_from([None] * 12 + list(PAST_THE_CAP) + ["dims"]))
+    if key == "dims":
+        dims = draw(st.integers(MAX_DIMS + 1, 20_000))
+        family.update({"eta": family["eta"][:1] * dims} if "eta" in family else {"n_dims": dims})
+    elif key is not None:
         doc[key] = draw(PAST_THE_CAP[key])
     return doc
 
@@ -276,6 +284,10 @@ def tiny_documents(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tiny_documents())
 def test_a_schema_valid_document_is_rejected_or_runs(doc):
+    if len(doc["family"].get("eta", ())) > MAX_DIMS or doc["family"].get("n_dims", 0) > MAX_DIMS:
+        with pytest.raises(jsonschema.ValidationError, match="'(eta|n_dims)'"):
+            ExperimentConfig.from_dict(doc)
+        return
     jsonschema.validate(doc, CONFIG_SCHEMA)
     h = doc.get("mesh_size") or doc["mesh_constant"] * doc["k0"] ** -1.5
     if h <= H_PAST_THE_CAP:
@@ -300,6 +312,7 @@ def test_a_schema_valid_document_is_rejected_or_runs(doc):
         loaded = load_surrogate(exp, f"{tmp}/surrogate.json")
     deltas = targets.points - surrogate.ybar
     assert np.array_equal(loaded.expected_iterations(deltas), surrogate.expected_iterations(deltas))
+    assert constructed_fields(loaded) == constructed_fields(surrogate)
 
 
 @st.composite

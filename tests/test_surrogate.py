@@ -6,7 +6,13 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pcplace.harness import ExperimentConfig, load_surrogate, sample_parameter_set, save_surrogate
+from pcplace.harness import (
+    ExperimentConfig,
+    load_surrogate,
+    sample_parameter_set,
+    save_surrogate,
+    train,
+)
 from pcplace.helmholtz import max_safe_amplitude
 from pcplace.krylov import CostPolicy
 from pcplace.param_space import (
@@ -672,8 +678,29 @@ class TestOracleRatio:
         assert oracle.n_ratio() < before
 
 
+def constructed_fields(surr: TrainedSurrogate) -> tuple:
+    """Every field ``surrogate_from_pairs`` sets, floats and arrays as their bytes."""
+    numbers = (surr.m_max, surr.tau_pc, surr.ybar, surr.gp.coeffs, surr.gp.deltas, surr.gp.alphas)
+    return (surr.evaluated, surr.iter_map, surr.degenerate_fit, surr.gp.deltas.shape,
+            *(np.asarray(v, dtype=float).tobytes() for v in numbers))
+
+
 class TestSerialization:
     """``save_surrogate`` / ``load_surrogate`` on a synthetic-oracle training run."""
+
+    def test_a_degenerate_first_refit_loads_as_trained(self, tmp_path):
+        # the first pick of a 5 x 5 grid is its centre, zero shift: the first
+        # refit is degenerate, the final one is not, and both surrogates say so
+        exp = ExperimentConfig.from_dict(
+            {"family": {"kind": "affine", "eta": [0.8, 0.5]}, "k0": 12.0, "n_points": 25,
+             "sampling": "grid"}
+        )
+        surr, _ = train(exp)
+        save_surrogate(exp, surr, tmp_path / "surrogate.json")
+        back = load_surrogate(exp, tmp_path / "surrogate.json")
+        assert surr.evaluated[0] == 12 and len(surr.evaluated) > 1
+        assert not surr.degenerate_fit
+        assert constructed_fields(back) == constructed_fields(surr)
 
     @staticmethod
     def _trained(seed, n_points, eta, noise=None):
